@@ -3,25 +3,19 @@
 //! VisibleSim is reported at "650k events/sec" with simulations of "2
 //! millions of nodes" on a laptop.  This bench measures the events/second
 //! rate of `sb-desim` on a message-passing workload for increasing module
-//! counts, **before and after** the PR 5 engine change: the full seed
-//! configuration (`BinaryHeap` queue, boxed modules, eager per-module
-//! `Start` events) is still constructible through
-//! `sb_bench::run_ring_boxed_heap`, so the calendar-queue +
-//! monomorphic-arena speed-up is measured in the same binary rather than
-//! quoted from a deleted commit.  The 10⁵-module election point is
-//! exercised by `examples/desim_throughput.rs`; benches keep sizes
-//! moderate so `cargo bench` stays fast.
+//! counts.  The 10⁵-module election point is exercised by
+//! `examples/desim_throughput.rs`; benches keep sizes moderate so
+//! `cargo bench` stays fast.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use sb_bench::{measure_election, measure_ring, run_ring_arena, run_ring_boxed_heap, Family};
+use sb_bench::{measure_election, measure_ring, run_ring, Family};
 use std::hint::black_box;
 
 fn bench_throughput(c: &mut Criterion) {
     println!("\n== DES throughput (VisibleSim comparison point: ~650k events/s, 2M nodes) ==");
-    println!("   baseline = BinaryHeap queue + boxed modules + eager starts; tuned = calendar queue + arena");
-    // Informational before/after table (sequential on purpose: each run
-    // self-times with wall-clock Instant, and concurrent siblings would
-    // contend for cores and deflate the events/s figures).
+    // Informational table (sequential on purpose: each run self-times
+    // with wall-clock Instant, and concurrent siblings would contend for
+    // cores and deflate the events/s figures).
     let mut points = Vec::new();
     for &modules in &[1_000usize, 10_000, 100_000] {
         points.push(measure_ring(modules, (modules as u64) * 4));
@@ -29,9 +23,8 @@ fn bench_throughput(c: &mut Criterion) {
     points.push(measure_election(Family::Column, 10_000, 30_000));
     for p in &points {
         println!(
-            "  {:>10} {:>8} modules: {:>8} events, baseline {:>11.0} ev/s, tuned {:>11.0} ev/s ({:.1}x)",
-            p.workload, p.modules, p.events, p.baseline_events_per_sec,
-            p.tuned_events_per_sec, p.speedup(),
+            "  {:>10} {:>8} modules: {:>8} events, {:>11.0} ev/s",
+            p.workload, p.modules, p.events, p.events_per_sec,
         );
     }
     println!();
@@ -42,14 +35,9 @@ fn bench_throughput(c: &mut Criterion) {
     group.throughput(Throughput::Elements(EVENTS));
     for &modules in &[1_000usize, 10_000, 100_000] {
         group.bench_with_input(
-            BenchmarkId::new("ring_arena_calendar", modules),
+            BenchmarkId::new("ring", modules),
             &modules,
-            |b, &modules| b.iter(|| black_box(run_ring_arena(modules, EVENTS))),
-        );
-        group.bench_with_input(
-            BenchmarkId::new("ring_boxed_heap", modules),
-            &modules,
-            |b, &modules| b.iter(|| black_box(run_ring_boxed_heap(modules, EVENTS))),
+            |b, &modules| b.iter(|| black_box(run_ring(modules, EVENTS))),
         );
     }
     group.finish();

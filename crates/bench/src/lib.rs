@@ -8,8 +8,8 @@
 //! - [`sweep`] — the cartesian sweep plan/engine with semantic per-cell
 //!   seeding and the versioned `BENCH_planner.json` schema, byte-identical
 //!   across worker counts;
-//! - [`throughput`] — the DES kernel throughput harness comparing the
-//!   calendar-queue/arena engine against the seed baseline;
+//! - [`throughput`] — the DES kernel throughput harness (ring flood and
+//!   bounded election runs, in events per wall-clock second);
 //! - [`workloads`] — shared scenario construction for benches and
 //!   examples.
 //!
@@ -25,7 +25,5 @@ pub mod workloads;
 pub use sweep::{
     parallel_map, Family, FamilyPlan, NetworkSpec, SweepEngine, SweepPlan, SweepReport,
 };
-pub use throughput::{
-    measure_election, measure_ring, run_ring_arena, run_ring_boxed_heap, ThroughputPoint,
-};
+pub use throughput::{measure_election, measure_ring, run_ring, ThroughputPoint};
 pub use workloads::*;

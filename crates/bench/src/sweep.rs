@@ -27,7 +27,7 @@
 //! identical for any worker count**.  The regression test
 //! `crates/bench/tests/sweep_engine.rs` pins this property.
 //!
-//! ## JSON schema (version 7)
+//! ## JSON schema (version 8)
 //!
 //! [`SweepReport::to_json`] renders the versioned machine-readable record
 //! published by CI as `BENCH_planner.json`; the field-by-field schema is
@@ -36,9 +36,8 @@
 //! seed and the outcome/counters of every run — so a regression found in
 //! a group aggregate can be bisected to one reproducible cell without
 //! re-running the plan, plus an optional host-dependent
-//! `desim_throughput` section (attached by `examples/scaling_sweep.rs`,
-//! never by [`SweepEngine::run`] itself, so worker-count byte-identity is
-//! untouched).  v5 adds the reliability axis: a `reliability` identity
+//! `desim_throughput` section (since removed: the record is now fully
+//! deterministic).  v5 adds the reliability axis: a `reliability` identity
 //! field on every group and cell plus the per-cell reliable-delivery
 //! counters (`retransmissions`, `duplicates_suppressed`, `delivery_acks`,
 //! `delivery_failures`).  v6 adds the connectivity-oracle observability
@@ -59,7 +58,6 @@
 //! hash only when the spec actually injects a fault or enables rounds,
 //! so every fault-free cell keeps its pre-v8 seed byte-for-byte.
 
-use crate::throughput::ThroughputPoint;
 use sb_core::election::{RoundsConfig, TieBreak};
 use sb_core::workloads;
 use sb_core::{
@@ -79,9 +77,9 @@ use std::time::Duration as WallDuration;
 /// v3 renamed the `latency` identity field to `network` when the global
 /// latency axis became the per-link [`NetworkModel`] axis; v4 added the
 /// per-cell `cells` records (identity + cell seed + outcome + counters)
-/// and the optional `desim_throughput` section; v5 added the reliability
-/// axis (a `reliability` identity field everywhere plus the per-cell
-/// retransmission/dedup/ack/failure counters); v6 added the
+/// and an optional `desim_throughput` section (since removed); v5 added
+/// the reliability axis (a `reliability` identity field everywhere plus
+/// the per-cell retransmission/dedup/ack/failure counters); v6 added the
 /// connectivity-oracle counters (per-cell rebuild/fallback, per-group
 /// fallback stats) without touching the cell-seed hash; v7 added the
 /// per-cell `connectivity_incremental_updates` counter, also outside
@@ -947,12 +945,6 @@ pub struct SweepReport {
     pub groups: Vec<GroupSummary>,
     /// Raw per-cell measurements, in plan order.
     pub cells: Vec<CellMeasurement>,
-    /// Optional before/after DES throughput points, rendered into the
-    /// JSON's `desim_throughput` section when non-empty.  Always empty
-    /// straight out of [`SweepEngine::run`] (the section is wall-clock
-    /// and therefore host-dependent); `examples/scaling_sweep.rs`
-    /// attaches the measurement after the sweep.
-    pub throughput: Vec<ThroughputPoint>,
 }
 
 impl SweepReport {
@@ -972,11 +964,7 @@ impl SweepReport {
     /// Only deterministic quantities are included (counters, simulated
     /// time, rates, per-cell seeds) — never wall-clock readings — so the
     /// rendering is byte-identical for a fixed plan regardless of worker
-    /// count or host speed.  The single exception is the optional
-    /// `desim_throughput` section: it is rendered only when a caller
-    /// attached an explicit wall-clock measurement to
-    /// [`SweepReport::throughput`], and is flagged host-dependent in the
-    /// record itself.
+    /// count or host speed.
     pub fn to_json(&self) -> String {
         let mut out = String::new();
         out.push_str("{\n");
@@ -1079,35 +1067,7 @@ impl SweepReport {
                 "\n"
             });
         }
-        if self.throughput.is_empty() {
-            out.push_str("  ]\n}\n");
-        } else {
-            out.push_str("  ],\n");
-            // Host-dependent section: wall-clock before/after rates of the
-            // DES engine, attached explicitly by the sweep example.
-            out.push_str("  \"desim_throughput_note\": \"events/s are wall-clock (host-dependent); every other field in this record is deterministic\",\n");
-            out.push_str("  \"desim_throughput\": [\n");
-            for (i, p) in self.throughput.iter().enumerate() {
-                let _ = write!(
-                    out,
-                    "    {{\"workload\": \"{}\", \"modules\": {}, \"events\": {}, \
-                     \"baseline_events_per_sec\": {:.0}, \"tuned_events_per_sec\": {:.0}, \
-                     \"speedup\": {:.2}}}",
-                    p.workload,
-                    p.modules,
-                    p.events,
-                    p.baseline_events_per_sec,
-                    p.tuned_events_per_sec,
-                    p.speedup(),
-                );
-                out.push_str(if i + 1 < self.throughput.len() {
-                    ",\n"
-                } else {
-                    "\n"
-                });
-            }
-            out.push_str("  ]\n}\n");
-        }
+        out.push_str("  ]\n}\n");
         out
     }
 }
@@ -1157,7 +1117,6 @@ impl SweepEngine {
             seeds_per_cell: seeds,
             groups,
             cells: measurements,
-            throughput: Vec::new(),
         }
     }
 }

@@ -1,71 +1,43 @@
-//! Before/after throughput measurement for the discrete-event core.
-//!
-//! PR 5 replaced the simulator's `BinaryHeap` event queue with a
-//! deterministic calendar queue, its `Vec<Option<Box<dyn BlockCode>>>`
-//! module storage with a dense monomorphic arena, and its per-module
-//! `Start` events with one batched startup sweep.  Every historical
-//! piece remains constructible — the heap via
-//! [`sb_desim::QueueKind::BinaryHeap`], eager starts via
-//! `Simulator::with_eager_starts`, the boxed storage via
-//! [`sb_core::runtime::build_des_simulation_baseline`] — so one binary
-//! can measure the speed-up honestly instead of quoting a number from a
-//! deleted commit.
+//! Throughput measurement for the discrete-event core.
 //!
 //! Two workload shapes are measured:
 //!
-//! * **ring** — the pure-kernel flood used by the historical
-//!   `desim_throughput` bench: tokens circulating a ring of `N` modules,
-//!   no shared-world work, so the queue + dispatch overhead dominates;
+//! * **ring** — a pure-kernel flood: tokens circulating a ring of `N`
+//!   modules, no shared-world work, so the queue + dispatch overhead
+//!   dominates;
 //! * **election** — the first diffusing computation of the Smart Blocks
 //!   election on a real workload family ([`Family::Column`] /
 //!   [`Family::Serpentine`]) at ensemble size `N`, run for a bounded
 //!   number of events: the production hot path (`BlockHarness` in the
 //!   arena), startup sweep included.
 //!
-//! Wall-clock rates are host-dependent by nature; the JSON rendering
-//! marks them as such (see `SweepReport::to_json`).
+//! Wall-clock rates are host-dependent by nature: they are printed, never
+//! written into a deterministic record.  A before/after comparison runs
+//! the same measurement on two revisions.
 
 use crate::sweep::Family;
 use sb_core::election::{AlgorithmConfig, TieBreak};
 use sb_core::reliability::ReliabilityConfig;
-use sb_core::runtime::{build_des_simulation, build_des_simulation_baseline};
+use sb_core::runtime::build_des_simulation;
 use sb_core::world::SurfaceWorld;
-use sb_desim::{
-    BlockCode, Context, Duration, LatencyModel, ModuleId, NetworkModel, QueueKind, Simulator,
-};
+use sb_desim::{BlockCode, Context, Duration, LatencyModel, ModuleId, NetworkModel, Simulator};
 use std::time::Instant;
 
-/// One before/after measurement: the same bounded workload run on the
-/// `BinaryHeap` + boxed-module baseline and on the calendar-queue +
-/// monomorphic-arena configuration.
+/// One throughput measurement of a bounded workload.
 #[derive(Clone, Debug)]
 pub struct ThroughputPoint {
     /// Workload shape (`"ring"`, `"column"`, `"serpentine"`).
     pub workload: &'static str,
     /// Number of simulator modules.
     pub modules: usize,
-    /// Events processed by each configuration (identical by
-    /// construction — both pop the same schedule).
+    /// Events processed.
     pub events: u64,
-    /// Events per wall-clock second of the `BinaryHeap` + boxed baseline.
-    pub baseline_events_per_sec: f64,
-    /// Events per wall-clock second of the calendar + arena engine.
-    pub tuned_events_per_sec: f64,
-}
-
-impl ThroughputPoint {
-    /// Tuned rate over baseline rate.
-    pub fn speedup(&self) -> f64 {
-        if self.baseline_events_per_sec <= 0.0 {
-            0.0
-        } else {
-            self.tuned_events_per_sec / self.baseline_events_per_sec
-        }
-    }
+    /// Events per wall-clock second.
+    pub events_per_sec: f64,
 }
 
 /// Ring node: forwards a hop counter to the next module until it reaches
-/// zero (the workload of the historical `desim_throughput` bench).
+/// zero.
 struct RingNode {
     next: ModuleId,
     tokens: u32,
@@ -92,111 +64,70 @@ impl BlockCode<u32, ()> for RingNode {
 /// ensemble size in a large simulation — grows with the event budget.
 const RING_HOPS: u32 = 64;
 
-fn ring_node(i: usize, modules: usize, tokens: u32) -> RingNode {
-    RingNode {
-        next: ModuleId((i + 1) % modules),
-        tokens: if i == 0 { tokens } else { 0 },
-        hops: RING_HOPS,
-    }
-}
-
-fn timed<R>(f: impl FnOnce() -> R) -> (R, f64) {
-    // sb-allow: wall-clock-in-sim — stdout-only throughput timing; flagged host-dependent in the JSON section
+fn timed(f: impl FnOnce() -> u64) -> (u64, f64) {
+    // sb-allow: wall-clock-in-sim — stdout-only throughput timing, never written to a record
     let start = Instant::now();
-    let r = f();
-    (r, start.elapsed().as_secs_f64().max(1e-9))
+    let events = f();
+    (events, start.elapsed().as_secs_f64().max(1e-9))
 }
 
-/// Builds and runs the ring workload on the tuned engine (calendar queue,
-/// monomorphic arena, batched starts); returns events processed.  Exposed
+/// Builds and runs the ring workload; returns events processed.  Exposed
 /// so the criterion bench times the exact same workload the
 /// [`measure_ring`] table reports.
-pub fn run_ring_arena(modules: usize, max_events: u64) -> u64 {
+pub fn run_ring(modules: usize, max_events: u64) -> u64 {
     let tokens = u32::try_from((max_events / u64::from(RING_HOPS)).max(1))
         .expect("ring token count must fit u32");
     let mut sim: Simulator<u32, (), RingNode> = Simulator::new(())
         .with_latency(LatencyModel::Fixed(Duration::micros(3)))
         .with_seed(5);
     for i in 0..modules {
-        sim.add(ring_node(i, modules, tokens));
-    }
-    sim.run_steps(max_events)
-}
-
-/// Builds and runs the ring workload on the full seed baseline
-/// (`BinaryHeap` queue, boxed modules, eager per-module starts); returns
-/// events processed.
-pub fn run_ring_boxed_heap(modules: usize, max_events: u64) -> u64 {
-    let tokens = u32::try_from((max_events / u64::from(RING_HOPS)).max(1))
-        .expect("ring token count must fit u32");
-    let mut sim: Simulator<u32, ()> = Simulator::new(())
-        .with_latency(LatencyModel::Fixed(Duration::micros(3)))
-        .with_seed(5)
-        .with_queue_kind(QueueKind::BinaryHeap)
-        .with_eager_starts();
-    for i in 0..modules {
-        sim.add_module(ring_node(i, modules, tokens));
+        sim.add(RingNode {
+            next: ModuleId((i + 1) % modules),
+            tokens: if i == 0 { tokens } else { 0 },
+            hops: RING_HOPS,
+        });
     }
     sim.run_steps(max_events)
 }
 
 /// Measures the ring workload at `modules` modules, processing at most
-/// `max_events` events per configuration.
+/// `max_events` events.  The timed section covers registration and
+/// dispatch.
 pub fn measure_ring(modules: usize, max_events: u64) -> ThroughputPoint {
-    // The timed section covers registration + dispatch — the same
-    // envelope the seed bench measured (its `run()` built the simulator
-    // inside the timed closure), and the one where the baseline's
-    // per-module costs (a Box allocation and a heap `Start` insertion
-    // each) actually live.
-    let (baseline_events, baseline_secs) = timed(|| run_ring_boxed_heap(modules, max_events));
-    let (tuned_events, tuned_secs) = timed(|| run_ring_arena(modules, max_events));
-    assert_eq!(
-        baseline_events, tuned_events,
-        "both engines dispatch the identical schedule"
-    );
+    let (events, secs) = timed(|| run_ring(modules, max_events));
     ThroughputPoint {
         workload: "ring",
         modules,
-        events: tuned_events,
-        baseline_events_per_sec: baseline_events as f64 / baseline_secs,
-        tuned_events_per_sec: tuned_events as f64 / tuned_secs,
+        events,
+        events_per_sec: events as f64 / secs,
     }
 }
 
 /// Measures the election workload: family instance at `blocks` blocks,
 /// fixed 10 µs links, at most `max_events` events (startup sweep plus the
-/// first activation/acknowledgment waves at large `N`).
+/// first activation/acknowledgment waves at large `N`).  Registration is
+/// timed, world construction is not.
 pub fn measure_election(family: Family, blocks: usize, max_events: u64) -> ThroughputPoint {
     let algorithm = AlgorithmConfig {
         tie_break: TieBreak::LowestId,
         ..AlgorithmConfig::default()
     };
-    let network = NetworkModel::default();
-    let build_world = || SurfaceWorld::standard(family.build(blocks, 1));
-    // Same envelope as `measure_ring`: registration happens inside the
-    // timed section (that is where the baseline's per-module Box
-    // allocations and heap `Start` insertions live).  World construction
-    // is identical in both configurations and is kept outside.
-    let world_a = build_world();
-    let (baseline_events, baseline_secs) = timed(|| {
-        build_des_simulation_baseline(world_a, algorithm, network, 9, ReliabilityConfig::off())
-            .run_steps(max_events)
+    let world = SurfaceWorld::standard(family.build(blocks, 1));
+    let (events, secs) = timed(|| {
+        build_des_simulation(
+            world,
+            algorithm,
+            NetworkModel::default(),
+            9,
+            ReliabilityConfig::off(),
+        )
+        .run_steps(max_events)
     });
-    let world_b = build_world();
-    let (tuned_events, tuned_secs) = timed(|| {
-        build_des_simulation(world_b, algorithm, network, 9, ReliabilityConfig::off())
-            .run_steps(max_events)
-    });
-    assert_eq!(
-        baseline_events, tuned_events,
-        "both engines dispatch the identical schedule"
-    );
     ThroughputPoint {
         workload: family.name(),
         modules: blocks,
-        events: tuned_events,
-        baseline_events_per_sec: baseline_events as f64 / baseline_secs,
-        tuned_events_per_sec: tuned_events as f64 / tuned_secs,
+        events,
+        events_per_sec: events as f64 / secs,
     }
 }
 
@@ -209,10 +140,13 @@ mod tests {
         let point = measure_ring(64, 4_000);
         assert_eq!(point.workload, "ring");
         assert_eq!(point.modules, 64);
+        assert_eq!(
+            point.events,
+            run_ring(64, 4_000),
+            "the ring is deterministic"
+        );
         assert!(point.events > 0);
-        assert!(point.baseline_events_per_sec > 0.0);
-        assert!(point.tuned_events_per_sec > 0.0);
-        assert!(point.speedup() > 0.0);
+        assert!(point.events_per_sec > 0.0);
     }
 
     #[test]
@@ -220,18 +154,6 @@ mod tests {
         let point = measure_election(Family::Column, 32, 2_000);
         assert_eq!(point.workload, "column");
         assert!(point.events > 0);
-        assert!(point.speedup() > 0.0);
-    }
-
-    #[test]
-    fn speedup_handles_zero_baseline() {
-        let p = ThroughputPoint {
-            workload: "ring",
-            modules: 1,
-            events: 0,
-            baseline_events_per_sec: 0.0,
-            tuned_events_per_sec: 1.0,
-        };
-        assert_eq!(p.speedup(), 0.0);
+        assert!(point.events_per_sec > 0.0);
     }
 }

@@ -7,11 +7,6 @@ use std::cmp::Ordering;
 /// What an event does when it fires.
 #[derive(Debug)]
 pub enum EventKind<M> {
-    /// Deliver the start-up callback to a module.
-    Start {
-        /// The module to start.
-        module: ModuleId,
-    },
     /// Deliver a message to a module.
     Message {
         /// Sender.
@@ -34,7 +29,6 @@ impl<M> EventKind<M> {
     /// The module that will handle the event.
     pub fn target(&self) -> ModuleId {
         match self {
-            EventKind::Start { module } => *module,
             EventKind::Message { to, .. } => *to,
             EventKind::Timer { module, .. } => *module,
         }
@@ -110,10 +104,6 @@ mod tests {
             payload: 9,
         };
         assert_eq!(e.target(), ModuleId(2));
-        let s: EventKind<u8> = EventKind::Start {
-            module: ModuleId(4),
-        };
-        assert_eq!(s.target(), ModuleId(4));
         let t: EventKind<u8> = EventKind::Timer {
             module: ModuleId(5),
             tag: 7,

@@ -20,8 +20,8 @@
 //! Dropped events are counted in
 //! [`SimStats::messages_dropped_dead`](crate::SimStats) and
 //! [`SimStats::timers_dropped_dead`](crate::SimStats), making dead time
-//! observable in the run statistics.  `Start` events are never dropped:
-//! fault windows open strictly after start-up.
+//! observable in the run statistics.  Start-up callbacks are never
+//! dropped: fault windows open strictly after start-up.
 
 use crate::time::SimTime;
 

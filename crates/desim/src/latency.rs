@@ -47,17 +47,6 @@ impl LatencyModel {
             }
         }
     }
-
-    /// The largest delay the model can produce.
-    pub fn upper_bound(&self) -> Duration {
-        match *self {
-            LatencyModel::Fixed(d) => d,
-            LatencyModel::Instant => Duration::ZERO,
-            LatencyModel::Uniform { min, max } => {
-                Duration::micros(max.as_micros().max(min.as_micros()))
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -88,7 +77,6 @@ mod tests {
         assert!(samples.iter().all(|&s| (5..=50).contains(&s)));
         let distinct: std::collections::BTreeSet<u64> = samples.iter().copied().collect();
         assert!(distinct.len() > 5, "jitter should produce varied delays");
-        assert_eq!(model.upper_bound(), Duration::micros(50));
     }
 
     #[test]

@@ -21,9 +21,8 @@
 //!   seeded per-link RNG streams so that every run is reproducible;
 //! * **statistics** (events processed, messages sent, wall-clock
 //!   throughput) used to reproduce the events/second figure of the paper;
-//! * block **colours** and a trace buffer, mirroring the debugging
-//!   facilities the authors describe (changing block colours, writing
-//!   debug text).
+//! * block **colours**, mirroring the debugging facility the authors
+//!   describe (changing block colours).
 //!
 //! The simulator is deliberately independent from the Smart Blocks domain:
 //! `M` (message type) and `W` (world type) are generic parameters, and the
@@ -62,7 +61,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod discrete_time;
 pub mod event;
 pub mod fault;
 pub mod latency;
@@ -72,16 +70,13 @@ pub mod queue;
 pub mod sim;
 pub mod stats;
 pub mod time;
-pub mod trace;
 
-pub use discrete_time::{add_periodic_driver, PeriodicDriver, TickMessage};
 pub use event::EventKind;
 pub use fault::{FaultPlan, FaultWindow};
 pub use latency::LatencyModel;
 pub use module::{BlockCode, Color, ModuleId};
 pub use network::NetworkModel;
-pub use queue::{CalendarQueue, QueueKind};
+pub use queue::CalendarQueue;
 pub use sim::{Context, Simulator};
 pub use stats::SimStats;
 pub use time::{Duration, SimTime};
-pub use trace::{TraceBuffer, TraceEntry};

@@ -173,13 +173,9 @@ impl NetworkState {
         self.links.clear();
     }
 
-    pub(crate) fn model(&self) -> NetworkModel {
-        self.model
-    }
-
-    /// Borrowing accessor for the dispatch hot path (avoids copying the
-    /// enum per message send).
-    pub(crate) fn model_ref(&self) -> &NetworkModel {
+    /// The configured model, borrowed (the dispatch hot path avoids
+    /// copying the enum per message send).
+    pub(crate) fn model(&self) -> &NetworkModel {
         &self.model
     }
 

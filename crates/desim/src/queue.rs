@@ -1,5 +1,4 @@
-//! Pending-event storage: the deterministic calendar queue and the
-//! pluggable [`EventQueue`] backend.
+//! Pending-event storage: the deterministic calendar queue.
 //!
 //! The dispatcher needs exactly one operation pattern: push events keyed
 //! by `(time, seq)` and pop them back in ascending key order — FIFO among
@@ -39,13 +38,11 @@
 //!   tier triggers the same rebuild, re-anchoring `window_start` at the
 //!   earliest pending event.
 //!
-//! Pop order is **bit-for-bit identical** to the `BinaryHeap` baseline for
-//! any push/pop interleaving (the differential property test
-//! `crates/desim/tests/prop_queue.rs` pins this, including same-timestamp
-//! bursts, bucket-boundary times and mid-run resizes); the baseline
-//! itself remains available through [`EventQueue::heap`] /
-//! [`QueueKind::BinaryHeap`] so benchmarks can measure the before/after
-//! honestly in one binary.
+//! Pop order is **bit-for-bit identical** to a plain `BinaryHeap` for any
+//! push/pop interleaving (the differential property test
+//! `crates/desim/tests/prop_queue.rs` pins this against a heap model,
+//! including same-timestamp bursts, bucket-boundary times and mid-run
+//! resizes).
 
 use crate::event::Event;
 use crate::time::SimTime;
@@ -282,104 +279,6 @@ impl<M> CalendarQueue<M> {
     }
 }
 
-/// Which pending-event backend a simulator uses.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum QueueKind {
-    /// The adaptive calendar queue (default; amortised O(1) per event).
-    #[default]
-    Calendar,
-    /// The historical `BinaryHeap` (O(log n) per event).  Kept as the
-    /// measurable baseline for the `desim_throughput` before/after
-    /// comparison.
-    BinaryHeap,
-}
-
-/// The pending-event store of a simulator kernel: a [`CalendarQueue`] by
-/// default, or the `BinaryHeap` baseline for comparison runs.  Both pop in
-/// exactly the same `(time, seq)` order.
-pub enum EventQueue<M> {
-    /// Calendar-queue backend.
-    Calendar(CalendarQueue<M>),
-    /// Binary-heap baseline backend.
-    Heap(BinaryHeap<Event<M>>),
-}
-
-impl<M> EventQueue<M> {
-    /// An empty queue of the given kind.
-    pub fn of_kind(kind: QueueKind) -> Self {
-        match kind {
-            QueueKind::Calendar => EventQueue::Calendar(CalendarQueue::new()),
-            QueueKind::BinaryHeap => EventQueue::Heap(BinaryHeap::new()),
-        }
-    }
-
-    /// An empty calendar-backed queue.
-    pub fn calendar() -> Self {
-        EventQueue::of_kind(QueueKind::Calendar)
-    }
-
-    /// An empty heap-backed queue (the baseline).
-    pub fn heap() -> Self {
-        EventQueue::of_kind(QueueKind::BinaryHeap)
-    }
-
-    /// The backend this queue runs on.
-    pub fn kind(&self) -> QueueKind {
-        match self {
-            EventQueue::Calendar(_) => QueueKind::Calendar,
-            EventQueue::Heap(_) => QueueKind::BinaryHeap,
-        }
-    }
-
-    /// Drains this queue into an empty queue of another kind, preserving
-    /// every pending event (order is key-determined, so the transfer is
-    /// exact).
-    pub fn rebuilt_as(mut self, kind: QueueKind) -> Self {
-        let mut next = EventQueue::of_kind(kind);
-        while let Some(event) = self.pop() {
-            next.push(event);
-        }
-        next
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        match self {
-            EventQueue::Calendar(q) => q.len(),
-            EventQueue::Heap(q) => q.len(),
-        }
-    }
-
-    /// Whether no event is pending.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Schedules an event.
-    pub fn push(&mut self, event: Event<M>) {
-        match self {
-            EventQueue::Calendar(q) => q.push(event),
-            EventQueue::Heap(q) => q.push(event),
-        }
-    }
-
-    /// Removes and returns the earliest event.
-    pub fn pop(&mut self) -> Option<Event<M>> {
-        match self {
-            EventQueue::Calendar(q) => q.pop(),
-            EventQueue::Heap(q) => q.pop(),
-        }
-    }
-
-    /// `(time, seq)` of the next event to pop, without removing it.
-    pub fn peek_key(&mut self) -> Option<(SimTime, u64)> {
-        match self {
-            EventQueue::Calendar(q) => q.peek_key(),
-            EventQueue::Heap(q) => q.peek().map(|e| (e.time, e.seq)),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -498,39 +397,5 @@ mod tests {
         }
         assert!(q.pop().is_none());
         assert_eq!(q.peek_key(), None);
-    }
-
-    #[test]
-    fn event_queue_backends_agree() {
-        let mut calendar = EventQueue::<u64>::calendar();
-        let mut heap = EventQueue::<u64>::heap();
-        assert_eq!(calendar.kind(), QueueKind::Calendar);
-        assert_eq!(heap.kind(), QueueKind::BinaryHeap);
-        for (t, s) in [(9u64, 0u64), (3, 1), (9, 2), (0, 3)] {
-            calendar.push(ev(t, s));
-            heap.push(ev(t, s));
-        }
-        while !calendar.is_empty() {
-            assert_eq!(calendar.peek_key(), heap.peek_key());
-            let a = calendar.pop().map(|e| (e.time, e.seq));
-            let b = heap.pop().map(|e| (e.time, e.seq));
-            assert_eq!(a, b);
-        }
-        assert!(heap.is_empty());
-    }
-
-    #[test]
-    fn rebuilt_as_preserves_contents() {
-        let mut q = EventQueue::<u64>::calendar();
-        for (t, s) in [(9u64, 0u64), (3, 1), (9, 2)] {
-            q.push(ev(t, s));
-        }
-        let mut heap = q.rebuilt_as(QueueKind::BinaryHeap);
-        assert_eq!(heap.kind(), QueueKind::BinaryHeap);
-        assert_eq!(heap.len(), 3);
-        let keys: Vec<(u64, u64)> = std::iter::from_fn(|| heap.pop())
-            .map(|e| (e.time.0, e.seq))
-            .collect();
-        assert_eq!(keys, vec![(3, 1), (9, 0), (9, 2)]);
     }
 }

@@ -1,5 +1,5 @@
 //! Differential property tests: the calendar queue must pop in exactly
-//! the order of the historical `BinaryHeap` baseline — `(time, seq)`
+//! the order of a `BinaryHeap` model (the test oracle) — `(time, seq)`
 //! ascending, FIFO among equal timestamps — for any interleaving of
 //! pushes and pops, including same-timestamp bursts, bucket-boundary
 //! times, far-future overflow events and workloads large enough to

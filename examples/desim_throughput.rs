@@ -1,5 +1,4 @@
-//! Discrete-event simulator throughput (Section V.E), before and after
-//! the PR 5 engine change.
+//! Discrete-event simulator throughput (Section V.E).
 //!
 //! The paper reports that VisibleSim handles "2 millions of nodes at a
 //! rate of 650k events/sec on a simple laptop".  This example measures the
@@ -10,9 +9,8 @@
 //!   and `serpentine`), arena-stored `BlockHarness` modules included —
 //!   scaled to N = 10⁵ blocks.
 //!
-//! Every point runs twice: on the historical `BinaryHeap` + boxed-module
-//! baseline and on the calendar-queue + monomorphic-arena engine, so the
-//! speed-up is measured rather than remembered.
+//! Rates are single wall-clock readings of one host; a before/after
+//! comparison runs this example on both revisions.
 //!
 //! ```text
 //! cargo run --release --example desim_throughput
@@ -111,48 +109,29 @@ fn gate_connectivity_maintenance(quick: bool) {
     }
 }
 
-fn print_header() {
-    println!(
-        "{:>10} {:>9} {:>10} {:>14} {:>14} {:>8}",
-        "workload", "modules", "events", "baseline ev/s", "tuned ev/s", "speedup"
-    );
-}
-
-fn print_point(p: &ThroughputPoint) {
-    println!(
-        "{:>10} {:>9} {:>10} {:>14.0} {:>14.0} {:>7.1}x",
-        p.workload,
-        p.modules,
-        p.events,
-        p.baseline_events_per_sec,
-        p.tuned_events_per_sec,
-        p.speedup(),
-    );
-}
-
 fn main() {
     // CI smoke mode: only the headline N = 10⁵ points, with a reduced
     // event budget, so the job stays fast while still proving the
     // large-ensemble path end to end.
     let quick = std::env::var("SB_THROUGHPUT_QUICK").is_ok();
 
-    println!("baseline = BinaryHeap queue + Box<dyn> modules (pre-PR 5 engine)");
-    println!("tuned    = calendar queue + monomorphic module arena\n");
     // Discarded warm-up point: the first measurement of a cold process
     // (page faults, frequency ramp) otherwise lands on the first table
     // row.
     let _ = measure_ring(10_000, 40_000);
-    print_header();
+    println!(
+        "{:>10} {:>9} {:>10} {:>14}",
+        "workload", "modules", "events", "ev/s"
+    );
 
     let mut points: Vec<ThroughputPoint> = Vec::new();
-    // Ring budgets scale with N (registration + starts + messages, the
-    // seed bench's envelope); election budgets are the startup sweep plus
-    // a bounded slice of the first diffusing computation — its per-event
-    // cost now includes the O(1) block-cut-tree connectivity probes of
-    // the *world* (identical in both engines; the old O(N)-per-probe BFS
-    // is a pinned fallback the gate below keeps at zero), so the bounded
-    // slice measures kernel + world dispatch rather than an unbounded
-    // reconfiguration.
+    // Ring budgets scale with N (registration + starts + messages);
+    // election budgets are the startup sweep plus a bounded slice of the
+    // first diffusing computation — its per-event cost includes the O(1)
+    // block-cut-tree connectivity probes of the *world* (the O(N)-per-probe
+    // BFS is a pinned fallback the gate below keeps at zero), so the
+    // bounded slice measures kernel + world dispatch rather than an
+    // unbounded reconfiguration.
     if quick {
         points.push(measure_ring(100_000, 400_000));
         points.push(measure_election(Family::Column, 100_000, 130_000));
@@ -168,22 +147,13 @@ fn main() {
         }
     }
     for p in &points {
-        print_point(p);
-    }
-
-    if let Some(best) = points
-        .iter()
-        .filter(|p| p.workload == "ring" && p.modules >= 10_000)
-        .map(|p| p.speedup())
-        .max_by(|a, b| a.partial_cmp(b).expect("finite speedups"))
-    {
         println!(
-            "\nkernel-bound (ring) speedup at N >= 1e4: up to {best:.1}x over the BinaryHeap + \
-             boxed-module + eager-start baseline (target: >= 3x; the election points carry the \
-             shared-world work on top — O(1) block-cut-tree probes since PR 7)"
+            "{:>10} {:>9} {:>10} {:>14.0}",
+            p.workload, p.modules, p.events, p.events_per_sec,
         );
     }
-    println!("(The paper reports VisibleSim at ~650k events/sec with 2M nodes.)");
+
+    println!("\n(The paper reports VisibleSim at ~650k events/sec with 2M nodes.)");
 
     // Regression gate: full elections on the standard families must stay
     // on the oracle's O(1) fast path, and rebuilds must stay under the
