@@ -8,8 +8,8 @@
 //! simple laptop" (Section V.E).  VisibleSim is not reusable here, so this
 //! crate implements the same architectural idea from scratch:
 //!
-//! * a **discrete-event core**: a time-ordered event queue with
-//!   deterministic FIFO tie-breaking;
+//! * a **discrete-event core**: a time-ordered event queue (a monotone
+//!   radix heap) with deterministic FIFO tie-breaking;
 //! * per-module **block codes** ([`BlockCode`]): the user program executed
 //!   by every block, reacting to message and timer events;
 //! * an explicit, user-defined **world** shared by the modules (for the
@@ -76,7 +76,7 @@ pub use fault::{FaultPlan, FaultWindow};
 pub use latency::LatencyModel;
 pub use module::{BlockCode, Color, ModuleId};
 pub use network::NetworkModel;
-pub use queue::CalendarQueue;
+pub use queue::RadixQueue;
 pub use sim::{Context, Simulator};
 pub use stats::SimStats;
 pub use time::{Duration, SimTime};

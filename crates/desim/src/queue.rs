@@ -1,281 +1,183 @@
-//! Pending-event storage: the deterministic calendar queue.
+//! Pending-event storage: a monotone radix heap.
 //!
 //! The dispatcher needs exactly one operation pattern: push events keyed
 //! by `(time, seq)` and pop them back in ascending key order — FIFO among
-//! events sharing a timestamp.  The original backend was a single
-//! `BinaryHeap<Event<M>>`, whose `O(log n)` push/pop made the queue the
-//! first bottleneck past ~10⁴ modules (each of the `n` start-up events
-//! alone costs a push into an `n`-element heap).
+//! events sharing a timestamp.  Its pushes are also **monotone**: every
+//! event lands at `now + delay`, never before the last popped time, and
+//! takes the next value of one global `seq` counter.  The first property
+//! is exactly the precondition of a radix heap (Ahuja, Mehlhorn, Orlin &
+//! Tarjan, JACM 1990), which [`RadixQueue`] implements over event times;
+//! the second keeps every bucket in `seq` order for free, so same-time
+//! events never need comparing:
 //!
-//! [`CalendarQueue`] replaces it with the classic DES structure (Brown
-//! 1988), adapted to keep the simulator's determinism guarantees intact:
+//! * **Buckets by highest differing bit.**  `last_time` is the time of the
+//!   last popped event.  Events at exactly `last_time` wait in a FIFO;
+//!   any other event lives in bucket `b` when its time first differs from
+//!   `last_time` in bit `b`.  Every time in a lower bucket is earlier than
+//!   every time in a higher one.  A push is one XOR, one `ilog2` and one
+//!   append — O(1), no comparison against other events.
+//! * **Occupancy mask.**  Bit `b` of one `u64` is set while bucket `b` is
+//!   non-empty; `trailing_zeros` finds the bucket holding the earliest
+//!   time.
+//! * **Pop** takes the FIFO's front.  When the FIFO is empty it first
+//!   splits the lowest non-empty bucket around its earliest time, which
+//!   becomes the new `last_time`: events at that time move to the FIFO,
+//!   the rest to strictly lower buckets (they share every bit from `b` up
+//!   with the new `last_time`).  An event moves at most 64 times in its
+//!   life, so a pop costs amortised O(1).  Every bucket below the split
+//!   one is empty and receives its events in `seq` order, so buckets and
+//!   FIFO stay sorted by `seq` without comparing.
+//! * **Peek** finds the same event without splitting (a start-up callback
+//!   that runs first may still push earlier events) and remembers its
+//!   position until the next split; pushes keep that position current.
 //!
-//! * **Buckets** partition the time axis into `bucket_count` consecutive
-//!   windows of `2^width_shift` microseconds starting at `window_start`.
-//!   Bucket indices are monotone in time (no year wrap-around), so the
-//!   earliest pending event always lives in the first non-empty bucket at
-//!   or after the read cursor.  A bucket is a `VecDeque` kept sorted by
-//!   `(time, seq)`: because `seq` is globally monotone, an event whose
-//!   key is not smaller than the bucket's back — every same-timestamp
-//!   burst, and any workload whose schedule meanders less than a bucket
-//!   width — appends in O(1), and out-of-order arrivals fall back to a
-//!   binary-search insert.  Pops are always `pop_front`.  The adaptive
-//!   geometry keeps buckets near one event on spread-out schedules, so
-//!   the insert fallback stays cheap when it happens at all.
-//! * **Overflow tier**: events falling outside the covered window — past
-//!   the horizon, or (only if a caller schedules into the past, which the
-//!   simulator never does) before `window_start` — wait in one ordinary
-//!   binary heap.  Every pop compares the best in-window key against the
-//!   overflow head, so out-of-window events are still delivered in exact
-//!   global order.
-//! * **Lazy rebucketing**: pushes only *flag* a geometry change (growth
-//!   past `4×` average bucket occupancy, or an overflow tier dwarfing the
-//!   in-window population).  The next pop/peek performs one `O(n)`
-//!   rebuild — recomputing `bucket_count` from the population and the
-//!   bucket width from the observed time span — so the push hot path
-//!   stays branch-cheap and the rebuild cost amortises over the events
-//!   that triggered it.  Draining the window with a non-empty overflow
-//!   tier triggers the same rebuild, re-anchoring `window_start` at the
-//!   earliest pending event.
+//! Nothing needs tuning to the workload.  Buckets keep their capacity
+//! across pops, so once the pending population has peaked the queue stops
+//! allocating.
 //!
-//! Pop order is **bit-for-bit identical** to a plain `BinaryHeap` for any
-//! push/pop interleaving (the differential property test
-//! `crates/desim/tests/prop_queue.rs` pins this against a heap model,
-//! including same-timestamp bursts, bucket-boundary times and mid-run
-//! resizes).
+//! Pop order is the total `(time, seq)` order, **bit-for-bit identical** to
+//! a plain `BinaryHeap` for any push/pop interleaving that respects the
+//! contract (the differential property test `crates/desim/tests/prop_queue.rs`
+//! pins this against a heap model).  A push before the last popped time,
+//! or with a `seq` not above every earlier push, breaks the contract;
+//! debug builds assert both.
 
 use crate::event::Event;
 use crate::time::SimTime;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 
-/// Smallest bucket count the calendar starts from.
-const MIN_BUCKETS: usize = 16;
-/// Largest bucket count a rebuild will grow to.
-const MAX_BUCKETS: usize = 1 << 15;
-/// Largest bucket width exponent (2³² µs ≈ 71 simulated minutes).
-const MAX_WIDTH_SHIFT: u32 = 32;
-
-/// A deterministic calendar queue over [`Event`]s.
+/// A deterministic monotone radix heap over [`Event`]s.
 ///
-/// See the [module documentation](self) for the layout.  The structure is
-/// tuned for the simulator's access pattern (push times never precede the
-/// last popped time) but stays correct — merely slower — for arbitrary
-/// interleavings, which the differential property test exploits.
-pub struct CalendarQueue<M> {
-    /// `bucket_count` sorted runs; index `i` covers
-    /// `[window_start + i·width, window_start + (i+1)·width)`.
-    buckets: Vec<VecDeque<Event<M>>>,
-    /// Power-of-two number of live buckets (`buckets.len()`).
-    bucket_count: usize,
-    /// Bucket width is `1 << width_shift` microseconds.
-    width_shift: u32,
-    /// Inclusive start of the covered window, in microseconds.
-    window_start: u64,
-    /// First possibly non-empty bucket (events are never pushed behind the
-    /// last popped time, so the cursor only moves forward between
-    /// rebuilds).
-    cursor: usize,
-    /// Events currently stored in buckets.
-    in_window: usize,
-    /// Cached growth threshold (`bucket_count * 4`): an in-window
-    /// population beyond it flags a rebucket.
-    grow_at: usize,
-    /// Events outside the covered window, in one plain heap.
-    overflow: BinaryHeap<Event<M>>,
-    /// A push crossed a geometry threshold; rebuild on the next pop/peek.
-    rebucket_pending: bool,
+/// See the [module documentation](self) for the layout and the contract:
+/// a push must not precede the last popped time, and its `seq` must
+/// exceed that of every earlier push.
+pub struct RadixQueue<M> {
+    /// Events at exactly `last_time`, in `seq` order.
+    current: VecDeque<Event<M>>,
+    /// `buckets[b]` holds the events whose time first differs from
+    /// `last_time` in bit `b`, in `seq` order.
+    buckets: [Vec<Event<M>>; 64],
+    /// Bit `b` is set exactly when `buckets[b]` is non-empty.
+    occupied: u64,
+    /// Time of the last popped event, in microseconds (0 before the first
+    /// pop); no pending event is earlier.
+    last_time: u64,
+    /// Number of pending events.
+    len: usize,
+    /// `(bucket, index)` of the earliest event in `buckets`, once a peek
+    /// has searched for it; pushes keep it current, a split clears it.
+    min: Option<(usize, usize)>,
 }
 
-impl<M> Default for CalendarQueue<M> {
+impl<M> Default for RadixQueue<M> {
     fn default() -> Self {
-        CalendarQueue::new()
+        RadixQueue::new()
     }
 }
 
-impl<M> CalendarQueue<M> {
-    /// An empty queue with the initial geometry (16 buckets of 16 µs).
+impl<M> RadixQueue<M> {
+    /// An empty queue.
     pub fn new() -> Self {
-        let mut buckets = Vec::with_capacity(MIN_BUCKETS);
-        buckets.resize_with(MIN_BUCKETS, VecDeque::new);
-        CalendarQueue {
-            buckets,
-            bucket_count: MIN_BUCKETS,
-            width_shift: 4,
-            window_start: 0,
-            cursor: 0,
-            in_window: 0,
-            grow_at: MIN_BUCKETS * 4,
-            overflow: BinaryHeap::new(),
-            rebucket_pending: false,
+        RadixQueue {
+            current: VecDeque::new(),
+            buckets: std::array::from_fn(|_| Vec::new()),
+            occupied: 0,
+            last_time: 0,
+            len: 0,
+            min: None,
         }
     }
 
-    /// Number of pending events (buckets plus overflow tier).
+    /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.in_window + self.overflow.len()
+        self.len
     }
 
     /// Whether no event is pending.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.len == 0
     }
 
-    /// Bucket index for `time`, or `None` when it falls outside the
-    /// covered window.
-    fn bucket_of(&self, time: SimTime) -> Option<usize> {
-        let t = time.as_micros();
-        if t < self.window_start {
-            return None;
-        }
-        let idx = (t - self.window_start) >> self.width_shift;
-        (idx < self.bucket_count as u64).then_some(idx as usize)
-    }
-
-    /// Inserts into a bucket's sorted run: O(1) append when the key is
-    /// not smaller than the current back (same-timestamp bursts, and any
-    /// monotone schedule), binary-search insert otherwise.
-    fn bucket_insert(bucket: &mut VecDeque<Event<M>>, event: Event<M>) {
-        let key = (event.time, event.seq);
-        match bucket.back() {
-            Some(back) if (back.time, back.seq) > key => {
-                let idx = bucket.partition_point(|e| (e.time, e.seq) < key);
-                bucket.insert(idx, event);
-            }
-            _ => bucket.push_back(event),
-        }
-    }
-
-    /// Schedules an event.
-    ///
-    /// Geometry checks only *flag* a rebuild; the next pop/peek performs
-    /// it (lazy rebucketing — the push path stays cheap).
+    /// Schedules an event.  Its time must not precede the last popped
+    /// time, and its `seq` must exceed that of every earlier push (the
+    /// simulator never schedules into the past and numbers its events
+    /// from one counter).
     pub fn push(&mut self, event: Event<M>) {
-        match self.bucket_of(event.time) {
-            Some(idx) => {
-                Self::bucket_insert(&mut self.buckets[idx], event);
-                self.in_window += 1;
-                if idx < self.cursor {
-                    self.cursor = idx;
-                }
-                if self.in_window > self.grow_at && self.bucket_count < MAX_BUCKETS {
-                    self.rebucket_pending = true;
-                }
-            }
-            None => {
-                self.overflow.push(event);
-                if self.overflow.len() > 64 && self.overflow.len() > self.in_window * 2 {
-                    self.rebucket_pending = true;
-                }
-            }
-        }
-    }
-
-    /// Applies any deferred geometry change, and re-anchors the window
-    /// when the buckets drained while the overflow tier still holds
-    /// events.
-    fn maintain(&mut self) {
-        if self.rebucket_pending || (self.in_window == 0 && !self.overflow.is_empty()) {
-            self.rebuild();
-        }
-    }
-
-    /// One `O(n log n)` pass: collects every pending event, recomputes
-    /// the geometry from the population and its time span, and
-    /// redistributes in sorted order (so every re-insert takes the O(1)
-    /// append path).
-    fn rebuild(&mut self) {
-        self.rebucket_pending = false;
-        let mut events: Vec<Event<M>> = Vec::with_capacity(self.len());
-        for bucket in &mut self.buckets {
-            events.extend(bucket.drain(..));
-        }
-        events.extend(self.overflow.drain());
-        self.in_window = 0;
-        self.cursor = 0;
-        if events.is_empty() {
+        let time = event.time.as_micros();
+        debug_assert!(time >= self.last_time, "push precedes the last popped time");
+        self.len += 1;
+        let diff = time ^ self.last_time;
+        if diff == 0 {
+            debug_assert!(
+                self.current.back().is_none_or(|e| e.seq < event.seq),
+                "seq must grow"
+            );
+            self.current.push_back(event);
             return;
         }
-        events.sort_unstable_by_key(|e| (e.time, e.seq));
-        let min = events.first().map(|e| e.time.as_micros()).unwrap_or(0);
-        let max = events.last().map(|e| e.time.as_micros()).unwrap_or(0);
-        let n = events.len();
-        self.bucket_count = n.next_power_of_two().clamp(MIN_BUCKETS, MAX_BUCKETS);
-        self.grow_at = self.bucket_count * 4;
-        self.buckets.resize_with(self.bucket_count, VecDeque::new);
-        // Aim at ~one event per bucket: width ≈ span / n, rounded up to a
-        // power of two so the index computation is a shift.
-        let ideal = ((max - min) / n as u64).max(1);
-        self.width_shift = ideal
-            .next_power_of_two()
-            .trailing_zeros()
-            .min(MAX_WIDTH_SHIFT);
-        self.window_start = min;
-        for event in events {
-            match self.bucket_of(event.time) {
-                Some(idx) => {
-                    self.buckets[idx].push_back(event);
-                    self.in_window += 1;
-                }
-                None => self.overflow.push(event),
+        let b = diff.ilog2() as usize;
+        if let Some((mb, mi)) = self.min {
+            if event.time < self.buckets[mb][mi].time {
+                self.min = Some((b, self.buckets[b].len()));
             }
         }
+        debug_assert!(
+            self.buckets[b].last().is_none_or(|e| e.seq < event.seq),
+            "seq must grow"
+        );
+        self.buckets[b].push(event);
+        self.occupied |= 1 << b;
     }
 
-    /// Key of the earliest in-window event, advancing the cursor past
-    /// drained buckets on the way.
-    fn window_min_key(&mut self) -> Option<(SimTime, u64)> {
-        if self.in_window == 0 {
-            return None;
+    /// `(bucket, index)` of the earliest event in `buckets`: the first
+    /// event at the earliest time in the lowest non-empty bucket.
+    fn bucket_min(&mut self) -> Option<(usize, usize)> {
+        if self.min.is_none() && self.occupied != 0 {
+            let b = self.occupied.trailing_zeros() as usize;
+            self.min = self.buckets[b]
+                .iter()
+                .enumerate()
+                .min_by_key(|(_, e)| e.time)
+                .map(|(i, _)| (b, i));
         }
-        while self.buckets[self.cursor].is_empty() {
-            self.cursor += 1;
-        }
-        self.buckets[self.cursor].front().map(|e| (e.time, e.seq))
+        self.min
     }
 
     /// `(time, seq)` of the next event to pop, without removing it.
     pub fn peek_key(&mut self) -> Option<(SimTime, u64)> {
-        self.maintain();
-        let window = self.window_min_key();
-        let overflow = self.overflow.peek().map(|e| (e.time, e.seq));
-        match (window, overflow) {
-            (Some(w), Some(o)) => Some(w.min(o)),
-            (w, o) => w.or(o),
-        }
+        let event = match self.current.front() {
+            Some(event) => event,
+            None => {
+                let (b, i) = self.bucket_min()?;
+                &self.buckets[b][i]
+            }
+        };
+        Some((event.time, event.seq))
     }
 
     /// Removes and returns the earliest event (exact `(time, seq)` order,
     /// FIFO among events sharing a timestamp).
     pub fn pop(&mut self) -> Option<Event<M>> {
-        // Hot path: no pending rebuild and an empty overflow tier (the
-        // norm once the geometry fits the workload) — the earliest event
-        // is simply the front of the first non-empty bucket, no key
-        // comparisons anywhere.
-        if self.rebucket_pending || !self.overflow.is_empty() || self.in_window == 0 {
-            return self.pop_slow();
-        }
-        while self.buckets[self.cursor].is_empty() {
-            self.cursor += 1;
-        }
-        self.in_window -= 1;
-        self.buckets[self.cursor].pop_front()
-    }
-
-    /// Full pop: applies deferred maintenance, then arbitrates between
-    /// the in-window front and the overflow head.
-    fn pop_slow(&mut self) -> Option<Event<M>> {
-        self.maintain();
-        let window = self.window_min_key();
-        let overflow = self.overflow.peek().map(|e| (e.time, e.seq));
-        match (window, overflow) {
-            (Some(w), Some(o)) if o < w => self.overflow.pop(),
-            (Some(_), _) => {
-                self.in_window -= 1;
-                self.buckets[self.cursor].pop_front()
+        if self.current.is_empty() {
+            let (b, i) = self.bucket_min()?;
+            self.min = None;
+            self.last_time = self.buckets[b][i].time.as_micros();
+            self.occupied &= !(1 << b);
+            let (lower, upper) = self.buckets.split_at_mut(b);
+            for event in upper[0].drain(..) {
+                let diff = event.time.as_micros() ^ self.last_time;
+                if diff == 0 {
+                    self.current.push_back(event);
+                } else {
+                    let to = diff.ilog2() as usize;
+                    debug_assert!(to < b, "a split moves events to strictly lower buckets");
+                    lower[to].push(event);
+                    self.occupied |= 1 << to;
+                }
             }
-            (None, Some(_)) => self.overflow.pop(),
-            (None, None) => None,
         }
+        self.len -= 1;
+        self.current.pop_front()
     }
 }
 
@@ -296,7 +198,7 @@ mod tests {
         }
     }
 
-    fn drain_keys(q: &mut CalendarQueue<u64>) -> Vec<(u64, u64)> {
+    fn drain_keys(q: &mut RadixQueue<u64>) -> Vec<(u64, u64)> {
         std::iter::from_fn(|| q.pop())
             .map(|e| (e.time.0, e.seq))
             .collect()
@@ -304,7 +206,7 @@ mod tests {
 
     #[test]
     fn pops_in_time_then_seq_order() {
-        let mut q = CalendarQueue::new();
+        let mut q = RadixQueue::new();
         for (t, s) in [(5u64, 0u64), (1, 1), (5, 2), (3, 3), (1, 4)] {
             q.push(ev(t, s));
         }
@@ -318,7 +220,7 @@ mod tests {
 
     #[test]
     fn same_timestamp_burst_is_fifo() {
-        let mut q = CalendarQueue::new();
+        let mut q = RadixQueue::new();
         for s in 0..100 {
             q.push(ev(7, s));
         }
@@ -328,24 +230,26 @@ mod tests {
 
     #[test]
     fn far_future_events_take_the_overflow_tier_and_return() {
-        let mut q = CalendarQueue::new();
-        // Initial window: 16 buckets × 16 µs = [0, 256).
+        let mut q = RadixQueue::new();
+        // Times far apart land in buckets far apart: the highest bit in
+        // which they differ from the initial `last_time = 0` is 3 for
+        // t = 10, 7 for t = 200 and 19 for t = 1_000_000.
         q.push(ev(10, 0));
-        q.push(ev(1_000_000, 1)); // far past the horizon
+        q.push(ev(1_000_000, 1)); // a much higher bucket
         q.push(ev(200, 2));
         assert_eq!(drain_keys(&mut q), vec![(10, 0), (200, 2), (1_000_000, 1)]);
     }
 
     #[test]
     fn draining_the_window_rebases_onto_the_overflow() {
-        let mut q = CalendarQueue::new();
+        let mut q = RadixQueue::new();
         q.push(ev(5, 0));
         for s in 1..5 {
             q.push(ev(1_000_000 + s, s));
         }
         assert_eq!(q.pop().map(|e| e.seq), Some(0));
-        // The window is empty; the next pop must re-anchor on the
-        // overflow tier and keep exact order.
+        // The low bucket is empty; the next pop must split the high
+        // bucket around its minimum and keep exact order.
         assert_eq!(
             drain_keys(&mut q),
             (1..5).map(|s| (1_000_000 + s, s)).collect::<Vec<_>>()
@@ -354,9 +258,9 @@ mod tests {
 
     #[test]
     fn growth_rebucket_preserves_order() {
-        let mut q = CalendarQueue::new();
-        // 1000 events crowd the initial 16 buckets well past the resize
-        // threshold; order must survive the rebuild.
+        let mut q = RadixQueue::new();
+        // 1000 events share a handful of buckets; order must survive
+        // every pop's redistribution into lower buckets.
         let mut expected = Vec::new();
         for s in 0..1000u64 {
             let t = (s * 37) % 500;
@@ -369,9 +273,9 @@ mod tests {
 
     #[test]
     fn bucket_boundary_times_stay_ordered() {
-        let mut q = CalendarQueue::new();
-        // Hit exact bucket edges of the initial geometry (width 16) and
-        // the horizon edge (256).
+        let mut q = RadixQueue::new();
+        // Times on both sides of the powers of two 16, 32 and 256, where
+        // the highest differing bit — the bucket — changes.
         let times = [0u64, 15, 16, 17, 31, 32, 255, 256, 257];
         for (s, &t) in times.iter().enumerate() {
             q.push(ev(t, s as u64));
@@ -387,7 +291,7 @@ mod tests {
 
     #[test]
     fn peek_key_matches_pop() {
-        let mut q = CalendarQueue::new();
+        let mut q = RadixQueue::new();
         for (t, s) in [(40u64, 0u64), (2, 1), (999_999, 2)] {
             q.push(ev(t, s));
         }
@@ -397,5 +301,60 @@ mod tests {
         }
         assert!(q.pop().is_none());
         assert_eq!(q.peek_key(), None);
+    }
+
+    #[test]
+    fn pushes_after_a_peek_keep_the_peeked_minimum_current() {
+        let mut q = RadixQueue::new();
+        q.push(ev(50, 0));
+        q.push(ev(40, 1));
+        assert_eq!(q.peek_key(), Some((SimTime(40), 1)));
+        // Earlier than the remembered minimum, in a lower bucket: it
+        // becomes the minimum.
+        q.push(ev(30, 2));
+        assert_eq!(q.peek_key(), Some((SimTime(30), 2)));
+        // Later, or at the same time with a later seq: the minimum stays.
+        q.push(ev(35, 3));
+        q.push(ev(30, 4));
+        assert_eq!(q.peek_key(), Some((SimTime(30), 2)));
+        assert_eq!(
+            drain_keys(&mut q),
+            vec![(30, 2), (30, 4), (35, 3), (40, 1), (50, 0)]
+        );
+    }
+
+    #[test]
+    fn extreme_and_power_of_two_keys_stay_ordered() {
+        let mut q = RadixQueue::new();
+        // The largest time differs from `last_time = 0` in bit 63: the top
+        // bucket.
+        q.push(ev(u64::MAX, 0));
+        // A same-time seq run straddling 2^4 and 2^5, then times
+        // straddling 2^32.
+        for s in 14..=33 {
+            q.push(ev(100, s));
+        }
+        let p32 = 1u64 << 32;
+        q.push(ev(p32 - 1, 34));
+        q.push(ev(p32, 35));
+        q.push(ev(p32 + 1, 36));
+        assert_eq!(q.peek_key(), Some((SimTime(100), 14)));
+        assert_eq!(q.pop().map(|e| (e.time.0, e.seq)), Some((100, 14)));
+        // A push at exactly the last popped time with a later seq queues
+        // behind the rest of the run; one more at the largest time.
+        q.push(ev(100, 37));
+        q.push(ev(u64::MAX, 38));
+        assert_eq!(q.len(), 25);
+        let mut expected: Vec<(u64, u64)> = (15..=33).map(|s| (100, s)).collect();
+        expected.extend([
+            (100, 37),
+            (p32 - 1, 34),
+            (p32, 35),
+            (p32 + 1, 36),
+            (u64::MAX, 0),
+            (u64::MAX, 38),
+        ]);
+        assert_eq!(drain_keys(&mut q), expected);
+        assert!(q.is_empty());
     }
 }

@@ -5,9 +5,10 @@
 //!
 //! Two storage decisions make the dispatch loop scale past 10⁵ modules:
 //!
-//! * the pending-event store is a deterministic [`CalendarQueue`] —
-//!   amortised O(1) per event instead of a binary heap's O(log n), with
-//!   identical pop order;
+//! * the pending-event store is a monotone radix heap ([`RadixQueue`]):
+//!   O(1) push and amortised O(1) pop for any number of pending events,
+//!   with no bucket geometry to tune and the exact `(time, seq)` order of
+//!   a binary heap;
 //! * modules live in a **dense arena** `Vec<C>` where `C` is the concrete
 //!   block-code type: the hot loop monomorphizes (no `Box<dyn>` pointer
 //!   chase, no virtual dispatch) whenever the caller names `C`.  The
@@ -28,7 +29,7 @@ use crate::fault::FaultPlan;
 use crate::latency::LatencyModel;
 use crate::module::{BlockCode, Color, ModuleId};
 use crate::network::{NetworkModel, NetworkState};
-use crate::queue::CalendarQueue;
+use crate::queue::RadixQueue;
 use crate::stats::SimStats;
 use crate::time::{Duration, SimTime};
 use rand::rngs::SmallRng;
@@ -41,7 +42,7 @@ use std::time::Instant;
 /// that a module can be borrowed mutably while it manipulates the kernel.
 struct Kernel<M, W> {
     world: W,
-    queue: CalendarQueue<M>,
+    queue: RadixQueue<M>,
     /// Batched start-up callbacks not yet dispatched (maintained by the
     /// simulator; mirrored here so queue-length statistics stay accurate).
     pending_starts: usize,
@@ -210,7 +211,7 @@ impl<M, W, C: BlockCode<M, W>> Simulator<M, W, C> {
             starts: VecDeque::new(),
             kernel: Kernel {
                 world,
-                queue: CalendarQueue::new(),
+                queue: RadixQueue::new(),
                 pending_starts: 0,
                 now: SimTime::ZERO,
                 seq: 0,

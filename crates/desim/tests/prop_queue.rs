@@ -1,13 +1,13 @@
-//! Differential property tests: the calendar queue must pop in exactly
-//! the order of a `BinaryHeap` model (the test oracle) — `(time, seq)`
+//! Differential property tests: the radix queue must pop in exactly the
+//! order of a `BinaryHeap` model (the test oracle) — `(time, seq)`
 //! ascending, FIFO among equal timestamps — for any interleaving of
-//! pushes and pops, including same-timestamp bursts, bucket-boundary
-//! times, far-future overflow events and workloads large enough to
-//! trigger mid-run rebucketing.
+//! monotone pushes and pops, including same-timestamp bursts, offsets on
+//! both sides of powers of two (where a key's bucket changes), far-future
+//! events and bulk loads that cascade through many buckets.
 
 use proptest::prelude::*;
 use sb_desim::event::{Event, EventKind};
-use sb_desim::queue::CalendarQueue;
+use sb_desim::queue::RadixQueue;
 use sb_desim::{ModuleId, SimTime};
 use std::collections::BinaryHeap;
 
@@ -32,10 +32,10 @@ enum Op {
     Pop { n: usize },
 }
 
-/// Time offsets biased towards the interesting edges of the calendar
-/// geometry: zero (same-timestamp bursts), the initial 16 µs bucket
-/// boundary ±1, the initial 256 µs horizon ±1, and far-future values
-/// that land in the overflow tier.
+/// Time offsets biased towards the interesting edges of the key space:
+/// zero (same-timestamp bursts), `2^k - 1`, `2^k` and `2^k + 1` (where the
+/// highest differing bit, and so the bucket, changes) and far-future
+/// values.
 fn dt_strategy() -> impl Strategy<Value = u64> {
     // The vendored `prop_oneof!` is unweighted; repeating a strategy
     // raises its relative frequency.
@@ -52,6 +52,7 @@ fn dt_strategy() -> impl Strategy<Value = u64> {
             Just(256),
             Just(257)
         ],
+        (1u32..48, 0u64..3).prop_map(|(k, d)| (1u64 << k) + d - 1),
         20u64..2_000,
         100_000u64..10_000_000,
     ]
@@ -77,7 +78,7 @@ proptest! {
     /// the lengths stay in lockstep, and both drain to the same tail.
     #[test]
     fn calendar_pops_in_exact_heap_order(ops in ops_strategy()) {
-        let mut calendar: CalendarQueue<u64> = CalendarQueue::new();
+        let mut calendar: RadixQueue<u64> = RadixQueue::new();
         let mut model: BinaryHeap<Event<u64>> = BinaryHeap::new();
         let mut seq = 0u64;
         let mut now = 0u64;
@@ -116,14 +117,14 @@ proptest! {
         prop_assert!(calendar.is_empty());
     }
 
-    /// A bulk load big enough to force at least one rebucketing rebuild
-    /// (the initial geometry holds 16 buckets; growth triggers past 4×
-    /// average occupancy) drains in exactly sorted order.
+    /// A bulk load pushed before any pop — hundreds of events spread over
+    /// a few buckets, split again and again as they drain — comes out in
+    /// exactly sorted order.
     #[test]
     fn bulk_load_with_resizes_drains_sorted(
         times in proptest::collection::vec(dt_strategy(), 200..600)
     ) {
-        let mut calendar: CalendarQueue<u64> = CalendarQueue::new();
+        let mut calendar: RadixQueue<u64> = RadixQueue::new();
         let mut expected: Vec<(u64, u64)> = Vec::with_capacity(times.len());
         let mut t = 0u64;
         for (seq, dt) in times.into_iter().enumerate() {
