@@ -47,11 +47,11 @@ fn bench_scaling(c: &mut Criterion) {
     for g in &report.groups {
         println!(
             "{:>6} {:>10.0} {:>12.0} {:>14.0} {:>10.0} {:>10}",
-            g.blocks,
-            g.elections.mean,
-            g.messages.mean,
-            g.distance_computations.mean,
-            g.moves.mean,
+            g.cell.blocks,
+            g.stat("elections").mean,
+            g.stat("messages").mean,
+            g.stat("distance_computations").mean,
+            g.stat("moves").mean,
             if g.completed_rate == 1.0 { "yes" } else { "NO" }
         );
     }
@@ -59,14 +59,14 @@ fn bench_scaling(c: &mut Criterion) {
         report
             .groups
             .iter()
-            .map(|g| (g.blocks as f64, select(g)))
+            .map(|g| (g.cell.blocks as f64, select(g)))
             .collect()
     };
     println!(
         "fitted exponents: messages ~ N^{:.2} (<= 3), distance computations ~ N^{:.2} (<= 3), moves ~ N^{:.2} (<= 2)\n",
-        fit_exponent(&pts(|g| g.messages.mean)),
-        fit_exponent(&pts(|g| g.distance_computations.mean)),
-        fit_exponent(&pts(|g| g.moves.mean)),
+        fit_exponent(&pts(|g| g.stat("messages").mean)),
+        fit_exponent(&pts(|g| g.stat("distance_computations").mean)),
+        fit_exponent(&pts(|g| g.stat("moves").mean)),
     );
 
     let mut group = c.benchmark_group("complexity_scaling");
@@ -76,7 +76,7 @@ fn bench_scaling(c: &mut Criterion) {
         // and aggregation scaffolding (which would dominate at small N).
         let cell = column_plan(vec![n]).cells()[0];
         group.bench_with_input(BenchmarkId::new("engine_cell", n), &n, |b, _| {
-            b.iter(|| black_box(run_cell(&cell, 1).moves))
+            b.iter(|| black_box(run_cell(&cell, 1).metrics.elementary_moves))
         });
     }
     group.finish();

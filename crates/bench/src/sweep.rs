@@ -18,8 +18,9 @@
 //! ## Determinism
 //!
 //! Every cell derives its simulator and tie-break seeds from a stable hash
-//! of the cell's *semantic* coordinates (family name, size, workload seed,
-//! network name, tie-break name, motion name) mixed with the plan seed —
+//! of the cell's *semantic* coordinates (family name, size, workload seed
+//! and the names of its network, tie-break and motion axes, plus its
+//! reliability and fault axes when active) mixed with the plan seed —
 //! never from the cell's position in the work queue or the thread that
 //! happens to run it.  Workers pull cell indices from a shared cursor and
 //! write results back into the cell's own slot, so the aggregate (and the
@@ -27,41 +28,25 @@
 //! identical for any worker count**.  The regression test
 //! `crates/bench/tests/sweep_engine.rs` pins this property.
 //!
-//! ## JSON schema (version 8)
+//! ## Adding a counter
 //!
-//! [`SweepReport::to_json`] renders the versioned machine-readable record
-//! published by CI as `BENCH_planner.json`; the field-by-field schema is
-//! documented in `ROADMAP.md` ("Engine notes").  v4 added the per-cell
-//! `cells` array — identity coordinates, the exact per-cell simulator
-//! seed and the outcome/counters of every run — so a regression found in
-//! a group aggregate can be bisected to one reproducible cell without
-//! re-running the plan, plus an optional host-dependent
-//! `desim_throughput` section (since removed: the record is now fully
-//! deterministic).  v5 adds the reliability axis: a `reliability` identity
-//! field on every group and cell plus the per-cell reliable-delivery
-//! counters (`retransmissions`, `duplicates_suppressed`, `delivery_acks`,
-//! `delivery_failures`).  v6 adds the connectivity-oracle observability
-//! counters (`connectivity_rebuilds` and `connectivity_fallback_probes`
-//! per cell, fallback stats per group) so the O(1) carrying-batch probe
-//! guarantee is measured data; the counters are outputs only and do
-//! **not** enter [`SweepCell::cell_seed`], so every v5 cell seed
-//! survives unchanged.  v7 adds the per-cell
-//! `connectivity_incremental_updates` counter (the epochs absorbed
-//! without a rebuild, now that the oracle maintains its state in
-//! amortised O(1)); like v6's counters it is output-only, so v5/v6 cell
-//! seeds survive unchanged.  v8 adds the crash/rejoin fault axis
-//! ([`FaultSpec`]: a scheduled module crash with optional rejoin plus
-//! the round-structured re-election configuration that measures the
-//! recovery) — a `fault` identity field on every group and cell, and
-//! the per-cell recovery counters (`rounds_started`, `round_skips`,
-//! `crashes_injected`, `rejoins`).  The fault name enters the cell-seed
-//! hash only when the spec actually injects a fault or enables rounds,
-//! so every fault-free cell keeps its pre-v8 seed byte-for-byte.
+//! Each record format renders from one ordered table, so a new counter
+//! takes one line per record that should carry it:
+//!
+//! 1. a field on [`sb_core::Metrics`] and its entry in
+//!    [`Metrics::counters`](sb_core::Metrics::counters) (which
+//!    `Display` prints);
+//! 2. a line in `CELL_COUNTERS` to put it in every cell record;
+//! 3. a line in `GROUP_ROWS` to summarise it per group as well;
+//! 4. a bump of [`SWEEP_SCHEMA_VERSION`] when a record's fields change.
+//!
+//! Each table is laid out as the JSON lines it renders, and the line
+//! breaks are part of the records' byte identity.
 
 use sb_core::election::{RoundsConfig, TieBreak};
 use sb_core::workloads;
 use sb_core::{
-    FaultInjection, FaultSchedule, FaultVictim, MotionModel, ReconfigurationDriver,
+    FaultInjection, FaultSchedule, FaultVictim, Metrics, MotionModel, ReconfigurationDriver,
     ReliabilityConfig,
 };
 use sb_desim::network::{fnv1a64, splitmix64};
@@ -72,7 +57,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Duration as WallDuration;
 
-/// Version of the JSON schema emitted by [`SweepReport::to_json`].
+/// Version of the JSON schema emitted by [`SweepReport::to_json`] (the
+/// committed `BENCH_planner.json` and `BENCH_fault_recovery.json`).
 ///
 /// v3 renamed the `latency` identity field to `network` when the global
 /// latency axis became the per-link [`NetworkModel`] axis; v4 added the
@@ -668,28 +654,55 @@ pub struct SweepCell {
 }
 
 impl SweepCell {
+    /// The named axes in record order: JSON key, value name, and whether
+    /// the name enters the cell seed.  Reliability is hashed only when
+    /// the layer is enabled and the fault only when the spec is active,
+    /// so cells without them keep the seeds they had before those axes
+    /// existed.
+    fn axes(&self) -> [(&'static str, &'static str, bool); 5] {
+        [
+            ("network", self.network.name, true),
+            ("tie_break", tie_break_name(self.tie_break), true),
+            ("motion", motion_name(self.motion), true),
+            (
+                "reliability",
+                self.reliability.name,
+                self.reliability.config.enabled,
+            ),
+            ("fault", self.fault.name, self.fault.is_active()),
+        ]
+    }
+
     /// Deterministic per-cell seed: a stable hash of the cell's semantic
     /// coordinates mixed with the plan seed.  Independent of enumeration
-    /// order and of the worker that runs the cell.  The reliability name
-    /// is mixed in only when the layer is enabled, and the fault name
-    /// only when the spec injects a fault or enables rounds, so every
-    /// reliability-off fault-free cell keeps the exact seed it had
-    /// before those axes existed and the pinned historical measurements
-    /// survive byte-for-byte.
+    /// order and of the worker that runs the cell.
     pub fn cell_seed(&self, plan_seed: u64) -> u64 {
         let mut h = fnv1a64(self.family.name().as_bytes(), 0xcbf2_9ce4_8422_2325);
         h = fnv1a64(&(self.blocks as u64).to_le_bytes(), h);
         h = fnv1a64(&self.workload_seed.to_le_bytes(), h);
-        h = fnv1a64(self.network.name.as_bytes(), h);
-        h = fnv1a64(tie_break_name(self.tie_break).as_bytes(), h);
-        h = fnv1a64(motion_name(self.motion).as_bytes(), h);
-        if self.reliability.config.enabled {
-            h = fnv1a64(self.reliability.name.as_bytes(), h);
-        }
-        if self.fault.is_active() {
-            h = fnv1a64(self.fault.name.as_bytes(), h);
+        for (_, name, hashed) in self.axes() {
+            if hashed {
+                h = fnv1a64(name.as_bytes(), h);
+            }
         }
         splitmix64(h ^ splitmix64(plan_seed))
+    }
+
+    /// Writes the opening of the cell's JSON record: family, size, the
+    /// workload seed when `with_seed`, then every named axis.
+    fn write_identity(&self, out: &mut String, with_seed: bool) {
+        let _ = write!(
+            out,
+            "    {{\"family\": \"{}\", \"n\": {}",
+            self.family.name(),
+            self.blocks
+        );
+        if with_seed {
+            let _ = write!(out, ", \"workload_seed\": {}", self.workload_seed);
+        }
+        for (key, name, _) in self.axes() {
+            let _ = write!(out, ", \"{key}\": \"{name}\"");
+        }
     }
 }
 
@@ -700,14 +713,9 @@ impl SweepCell {
 pub struct CellMeasurement {
     /// The cell the measurement belongs to.
     pub cell: SweepCell,
-    /// Elections run (iterations of Algorithm 1).
-    pub elections: u64,
-    /// Total messages exchanged.
-    pub messages: u64,
-    /// Elementary block moves executed.
-    pub moves: u64,
-    /// Distance computations (Remark 2).
-    pub distance_computations: u64,
+    /// The run's counters (Remarks 2–4, reliability, connectivity
+    /// oracle, rounds and faults).
+    pub metrics: Metrics,
     /// Final simulated time, microseconds.
     pub sim_time_us: u64,
     /// Events processed by the dispatcher.
@@ -722,34 +730,6 @@ pub struct CellMeasurement {
     /// fault-free network; a message-dropping [`NetworkSpec`] deadlocks
     /// the election, and the resulting timeouts are the measurement.
     pub timed_out: bool,
-    /// Payload retransmissions by the reliable delivery layer (zero when
-    /// reliability is off).
-    pub retransmissions: u64,
-    /// Received payload copies suppressed by the dedup window.
-    pub duplicates_suppressed: u64,
-    /// Transport-level delivery acks sent (the overhead of reliability;
-    /// not part of `messages`).
-    pub delivery_acks: u64,
-    /// Messages abandoned after exhausting the retry budget.
-    pub delivery_failures: u64,
-    /// Full Tarjan passes run by the world's connectivity oracle.
-    pub connectivity_rebuilds: u64,
-    /// Remark 1 probes that left the O(1) block-cut-tree path for the
-    /// O(N) scratch BFS — ~0 on the standard families, so any growth is
-    /// a fast-path regression visible in `BENCH_planner.json`.
-    pub connectivity_fallback_probes: u64,
-    /// Occupancy epochs the oracle absorbed incrementally instead of
-    /// rebuilding — the measured amortised-O(1) maintenance claim.
-    pub connectivity_incremental_updates: u64,
-    /// Election rounds entered (1 for an undisturbed rounds-on run, 0
-    /// with rounds off).
-    pub rounds_started: u64,
-    /// Rounds abandoned by the skip watchdog.
-    pub round_skips: u64,
-    /// Module crashes injected by the cell's [`FaultSpec`].
-    pub crashes_injected: u64,
-    /// Crashed modules that rejoined.
-    pub rejoins: u64,
     /// Wall-clock duration of the run (excluded from the JSON record,
     /// which must be deterministic).
     pub wall: WallDuration,
@@ -775,6 +755,88 @@ impl CellMeasurement {
     }
 }
 
+/// A counter of the cell record: JSON name and value.
+type CellCounter = (&'static str, fn(&CellMeasurement) -> u64);
+
+/// The cell record's counters, one inner list per rendered JSON line.
+const CELL_COUNTERS: &[&[CellCounter]] = &[
+    &[
+        ("elections", |c| c.metrics.elections),
+        ("messages", |c| c.metrics.total_messages()),
+        ("moves", |c| c.metrics.elementary_moves),
+        ("distance_computations", |c| c.metrics.distance_computations),
+        ("sim_time_us", |c| c.sim_time_us),
+        ("events", |c| c.events),
+    ],
+    &[
+        ("retransmissions", |c| c.metrics.retransmissions),
+        ("duplicates_suppressed", |c| c.metrics.duplicates_suppressed),
+        ("delivery_acks", |c| c.metrics.delivery_acks),
+        ("delivery_failures", |c| c.metrics.delivery_failures),
+    ],
+    &[
+        ("connectivity_rebuilds", |c| c.metrics.connectivity_rebuilds),
+        ("connectivity_fallback_probes", |c| {
+            c.metrics.connectivity_fallback_probes
+        }),
+        ("connectivity_incremental_updates", |c| {
+            c.metrics.connectivity_incremental_updates
+        }),
+    ],
+    &[
+        ("rounds_started", |c| c.metrics.rounds_started),
+        ("round_skips", |c| c.metrics.round_skips),
+        ("crashes_injected", |c| c.metrics.crashes_injected),
+        ("rejoins", |c| c.metrics.rejoins),
+    ],
+];
+
+/// A grouped row: JSON name and the per-cell value its [`Stats`]
+/// summarise.
+type GroupRow = (&'static str, fn(&CellMeasurement) -> f64);
+
+/// The group record's rows, one inner list per rendered JSON line.
+const GROUP_ROWS: &[&[GroupRow]] = &[
+    &[
+        ("elections", |c| c.metrics.elections as f64),
+        ("messages", |c| c.metrics.total_messages() as f64),
+    ],
+    &[
+        ("moves", |c| c.metrics.elementary_moves as f64),
+        ("distance_computations", |c| {
+            c.metrics.distance_computations as f64
+        }),
+    ],
+    &[
+        ("sim_time_us", |c| c.sim_time_us as f64),
+        ("events_per_sim_sec", CellMeasurement::events_per_sim_sec),
+    ],
+    &[
+        ("retransmissions", |c| c.metrics.retransmissions as f64),
+        ("connectivity_fallback_probes", |c| {
+            c.metrics.connectivity_fallback_probes as f64
+        }),
+        ("round_skips", |c| c.metrics.round_skips as f64),
+    ],
+];
+
+/// Writes `lines` as JSON members, one record line per inner list.
+fn write_lines<G, V: std::fmt::Display>(
+    out: &mut String,
+    lines: &[&[(&'static str, G)]],
+    value: impl Fn(&'static str, &G) -> V,
+) {
+    for (i, line) in lines.iter().enumerate() {
+        if i > 0 {
+            out.push_str(",\n     ");
+        }
+        for (j, (name, get)) in line.iter().enumerate() {
+            let sep = if j > 0 { ", " } else { "" };
+            let _ = write!(out, "{sep}\"{name}\": {}", value(name, get));
+        }
+    }
+}
+
 /// Runs one cell on the discrete-event runtime.
 pub fn run_cell(cell: &SweepCell, plan_seed: u64) -> CellMeasurement {
     let seed = cell.cell_seed(plan_seed);
@@ -796,26 +858,12 @@ pub fn run_cell(cell: &SweepCell, plan_seed: u64) -> CellMeasurement {
     let report = driver.run_des();
     CellMeasurement {
         cell: *cell,
-        elections: report.elections(),
-        messages: report.total_messages(),
-        moves: report.elementary_moves(),
-        distance_computations: report.metrics.distance_computations,
+        metrics: report.metrics,
         sim_time_us: report.sim_time_us.unwrap_or(0),
         events: report.events_processed.unwrap_or(0),
         completed: report.completed,
         stalled: report.stalled,
         timed_out: !report.completed && !report.stalled,
-        retransmissions: report.metrics.retransmissions,
-        duplicates_suppressed: report.metrics.duplicates_suppressed,
-        delivery_acks: report.metrics.delivery_acks,
-        delivery_failures: report.metrics.delivery_failures,
-        connectivity_rebuilds: report.metrics.connectivity_rebuilds,
-        connectivity_fallback_probes: report.metrics.connectivity_fallback_probes,
-        connectivity_incremental_updates: report.metrics.connectivity_incremental_updates,
-        rounds_started: report.metrics.rounds_started,
-        round_skips: report.metrics.round_skips,
-        crashes_injected: report.metrics.crashes_injected,
-        rejoins: report.metrics.rejoins,
         wall: report.wall_time,
     }
 }
@@ -888,20 +936,9 @@ fn nearest_rank(sorted: &[f64], percentile: f64) -> f64 {
 /// Aggregate over the seed repetitions of one parameter point.
 #[derive(Clone, Debug)]
 pub struct GroupSummary {
-    /// Scenario family.
-    pub family: Family,
-    /// Ensemble size `N`.
-    pub blocks: usize,
-    /// Network model name.
-    pub network: &'static str,
-    /// Tie-break policy name.
-    pub tie_break: &'static str,
-    /// Motion model name.
-    pub motion: &'static str,
-    /// Reliable-delivery configuration name.
-    pub reliability: &'static str,
-    /// Crash/rejoin fault scenario name (`"none"` for fault-free).
-    pub fault: &'static str,
+    /// The group's first cell: every coordinate but the workload seed is
+    /// the group's identity.
+    pub cell: SweepCell,
     /// Number of runs aggregated (the seed axis).
     pub runs: usize,
     /// Fraction of runs that completed.
@@ -910,28 +947,23 @@ pub struct GroupSummary {
     pub stall_rate: f64,
     /// Fraction of runs with neither outcome.
     pub timeout_rate: f64,
-    /// Elections per run.
-    pub elections: Stats,
-    /// Messages per run.
-    pub messages: Stats,
-    /// Elementary moves per run.
-    pub moves: Stats,
-    /// Distance computations per run.
-    pub distance_computations: Stats,
-    /// Final simulated time per run (µs).
-    pub sim_time_us: Stats,
-    /// Events per simulated second.
-    pub events_per_sim_sec: Stats,
-    /// Reliable-delivery retransmissions per run (all-zero when the
-    /// group's reliability is off).
-    pub retransmissions: Stats,
-    /// Connectivity-oracle BFS fallbacks per run (~0 on the standard
-    /// families: every carrying batch reduces to an O(1) block-cut-tree
-    /// probe, so growth here flags a fast-path regression).
-    pub connectivity_fallback_probes: Stats,
-    /// Rounds abandoned by the skip watchdog per run (all-zero with
-    /// rounds off; the price of crash recovery otherwise).
-    pub round_skips: Stats,
+    /// One [`Stats`] per grouped row, in record order.
+    pub stats: Vec<(&'static str, Stats)>,
+}
+
+impl GroupSummary {
+    /// The stats of the grouped row `name` (`"messages"`, `"moves"`, …).
+    ///
+    /// # Panics
+    ///
+    /// When the group record has no such row.
+    pub fn stat(&self, name: &str) -> &Stats {
+        self.stats
+            .iter()
+            .find(|(row, _)| *row == name)
+            .map(|(_, stats)| stats)
+            .unwrap_or_else(|| panic!("no grouped row named {name}"))
+    }
 }
 
 /// Outcome of one sweep: per-cell measurements plus per-group aggregates.
@@ -975,42 +1007,18 @@ impl SweepReport {
         out.push_str("  \"percentile_method\": \"nearest-rank\",\n");
         out.push_str("  \"groups\": [\n");
         for (i, g) in self.groups.iter().enumerate() {
+            g.cell.write_identity(&mut out, false);
             let _ = write!(
                 out,
-                "    {{\"family\": \"{}\", \"n\": {}, \"network\": \"{}\", \
-                 \"tie_break\": \"{}\", \"motion\": \"{}\", \"reliability\": \"{}\", \
-                 \"fault\": \"{}\", \"runs\": {},\n     \
-                 \"completed_rate\": {:.3}, \"stall_rate\": {:.3}, \"timeout_rate\": {:.3},\n     \
-                 \"elections\": {}, \"messages\": {},\n     \
-                 \"moves\": {}, \"distance_computations\": {},\n     \
-                 \"sim_time_us\": {}, \"events_per_sim_sec\": {},\n     \
-                 \"retransmissions\": {}, \"connectivity_fallback_probes\": {}, \
-                 \"round_skips\": {}}}",
-                g.family.name(),
-                g.blocks,
-                g.network,
-                g.tie_break,
-                g.motion,
-                g.reliability,
-                g.fault,
-                g.runs,
-                g.completed_rate,
-                g.stall_rate,
-                g.timeout_rate,
-                stats_json(&g.elections),
-                stats_json(&g.messages),
-                stats_json(&g.moves),
-                stats_json(&g.distance_computations),
-                stats_json(&g.sim_time_us),
-                stats_json(&g.events_per_sim_sec),
-                stats_json(&g.retransmissions),
-                stats_json(&g.connectivity_fallback_probes),
-                stats_json(&g.round_skips),
+                ", \"runs\": {},\n     \
+                 \"completed_rate\": {:.3}, \"stall_rate\": {:.3}, \"timeout_rate\": {:.3},\n     ",
+                g.runs, g.completed_rate, g.stall_rate, g.timeout_rate,
             );
+            write_lines(&mut out, GROUP_ROWS, |name, _| stats_json(g.stat(name)));
             out.push_str(if i + 1 < self.groups.len() {
-                ",\n"
+                "},\n"
             } else {
-                "\n"
+                "}\n"
             });
         }
         out.push_str("  ],\n");
@@ -1019,52 +1027,18 @@ impl SweepReport {
         // `cell_seed` is the exact simulator seed `run_cell` used).
         out.push_str("  \"cells\": [\n");
         for (i, c) in self.cells.iter().enumerate() {
+            c.cell.write_identity(&mut out, true);
             let _ = write!(
                 out,
-                "    {{\"family\": \"{}\", \"n\": {}, \"workload_seed\": {}, \
-                 \"network\": \"{}\", \"tie_break\": \"{}\", \"motion\": \"{}\", \
-                 \"reliability\": \"{}\", \"fault\": \"{}\",\n     \
-                 \"cell_seed\": \"{:016x}\", \"outcome\": \"{}\",\n     \
-                 \"elections\": {}, \"messages\": {}, \"moves\": {}, \
-                 \"distance_computations\": {}, \"sim_time_us\": {}, \"events\": {},\n     \
-                 \"retransmissions\": {}, \"duplicates_suppressed\": {}, \
-                 \"delivery_acks\": {}, \"delivery_failures\": {},\n     \
-                 \"connectivity_rebuilds\": {}, \"connectivity_fallback_probes\": {}, \
-                 \"connectivity_incremental_updates\": {},\n     \
-                 \"rounds_started\": {}, \"round_skips\": {}, \
-                 \"crashes_injected\": {}, \"rejoins\": {}}}",
-                c.cell.family.name(),
-                c.cell.blocks,
-                c.cell.workload_seed,
-                c.cell.network.name,
-                tie_break_name(c.cell.tie_break),
-                motion_name(c.cell.motion),
-                c.cell.reliability.name,
-                c.cell.fault.name,
+                ",\n     \"cell_seed\": \"{:016x}\", \"outcome\": \"{}\",\n     ",
                 c.cell.cell_seed(self.plan_seed),
                 c.outcome_name(),
-                c.elections,
-                c.messages,
-                c.moves,
-                c.distance_computations,
-                c.sim_time_us,
-                c.events,
-                c.retransmissions,
-                c.duplicates_suppressed,
-                c.delivery_acks,
-                c.delivery_failures,
-                c.connectivity_rebuilds,
-                c.connectivity_fallback_probes,
-                c.connectivity_incremental_updates,
-                c.rounds_started,
-                c.round_skips,
-                c.crashes_injected,
-                c.rejoins,
             );
+            write_lines(&mut out, CELL_COUNTERS, |_, get| get(c));
             out.push_str(if i + 1 < self.cells.len() {
-                ",\n"
+                "},\n"
             } else {
-                "\n"
+                "}\n"
             });
         }
         out.push_str("  ]\n}\n");
@@ -1122,35 +1096,24 @@ impl SweepEngine {
 }
 
 fn summarize_group(chunk: &[CellMeasurement]) -> GroupSummary {
-    let first = &chunk[0];
     let k = chunk.len() as f64;
     let rate = |pred: fn(&CellMeasurement) -> bool| -> f64 {
         chunk.iter().filter(|c| pred(c)).count() as f64 / k
     };
-    let stats = |select: fn(&CellMeasurement) -> f64| -> Stats {
-        Stats::from_values(&mut chunk.iter().map(select).collect::<Vec<f64>>())
-    };
     GroupSummary {
-        family: first.cell.family,
-        blocks: first.cell.blocks,
-        network: first.cell.network.name,
-        tie_break: tie_break_name(first.cell.tie_break),
-        motion: motion_name(first.cell.motion),
-        reliability: first.cell.reliability.name,
-        fault: first.cell.fault.name,
+        cell: chunk[0].cell,
         runs: chunk.len(),
         completed_rate: rate(|c| c.completed),
         stall_rate: rate(|c| c.stalled),
         timeout_rate: rate(|c| c.timed_out),
-        elections: stats(|c| c.elections as f64),
-        messages: stats(|c| c.messages as f64),
-        moves: stats(|c| c.moves as f64),
-        distance_computations: stats(|c| c.distance_computations as f64),
-        sim_time_us: stats(|c| c.sim_time_us as f64),
-        events_per_sim_sec: stats(CellMeasurement::events_per_sim_sec),
-        retransmissions: stats(|c| c.retransmissions as f64),
-        connectivity_fallback_probes: stats(|c| c.connectivity_fallback_probes as f64),
-        round_skips: stats(|c| c.round_skips as f64),
+        stats: GROUP_ROWS
+            .iter()
+            .flat_map(|line| line.iter())
+            .map(|&(name, get)| {
+                let mut values: Vec<f64> = chunk.iter().map(get).collect();
+                (name, Stats::from_values(&mut values))
+            })
+            .collect(),
     }
 }
 
@@ -1179,14 +1142,59 @@ mod tests {
 
     #[test]
     fn plan_enumerates_the_full_cartesian_product() {
-        let plan = SweepPlan::smoke();
+        // At least two values on every axis, so dropping any axis from
+        // `cells()` changes the count.
+        let mut plan = SweepPlan::fault_probes_crash();
+        plan.reliability = vec![ReliabilitySpec::off(), ReliabilitySpec::on_fast()];
+        plan.tie_breaks = vec![TieBreak::Random, TieBreak::LowestId];
+        plan.motions = vec![MotionModel::RuleBased, MotionModel::FreeMotion];
         let expected: usize = plan.families.iter().map(|fp| fp.sizes.len()).sum::<usize>()
             * plan.seeds.len()
             * plan.networks.len()
             * plan.tie_breaks.len()
             * plan.motions.len()
-            * plan.reliability.len();
+            * plan.reliability.len()
+            * plan.faults.len();
         assert_eq!(plan.cells().len(), expected);
+    }
+
+    #[test]
+    fn cell_seeds_match_the_committed_records() {
+        // Seeds copied from BENCH_planner.json and
+        // BENCH_fault_recovery.json: any change to the seed hash shows
+        // here before it shows as a record diff.
+        let seed_of = |plan: &SweepPlan, network: &str, reliability: &str, fault: &str| {
+            let cell = plan
+                .cells()
+                .into_iter()
+                .find(|c| {
+                    c.family == Family::Column
+                        && c.blocks == 8
+                        && c.workload_seed == 1
+                        && c.network.name == network
+                        && c.reliability.name == reliability
+                        && c.fault.name == fault
+                })
+                .expect("the plan sweeps the cell");
+            format!("{:016x}", cell.cell_seed(plan.plan_seed))
+        };
+        let (standard, probes) = (SweepPlan::standard(), SweepPlan::fault_probes());
+        let crash = SweepPlan::fault_probes_crash();
+        let seeds = [
+            seed_of(&standard, "fixed_10us", "off", "none"),
+            seed_of(&probes, "jitter_bursts", "off", "none"),
+            seed_of(&probes, "jitter_bursts", "on", "none"),
+            seed_of(&crash, "fixed_10us", "on_fast", "root_crash_rejoin"),
+        ];
+        assert_eq!(
+            seeds,
+            [
+                "f169883cd97f8304",
+                "7d7528582b205bd0",
+                "c80f1e6ddbf9afdf",
+                "8807c8b195a58aed"
+            ]
+        );
     }
 
     #[test]
@@ -1216,12 +1224,12 @@ mod tests {
         for cell in plan.cells().iter().take(2) {
             let m = run_cell(cell, plan.plan_seed);
             assert!(
-                m.connectivity_rebuilds > 0,
+                m.metrics.connectivity_rebuilds > 0,
                 "{}: the run must have probed the oracle",
                 cell.family.name()
             );
             assert_eq!(
-                m.connectivity_fallback_probes,
+                m.metrics.connectivity_fallback_probes,
                 0,
                 "{}: a probe left the O(1) block-cut-tree path",
                 cell.family.name()
@@ -1234,11 +1242,11 @@ mod tests {
             // `examples/desim_throughput.rs`; here at smoke sizes a
             // strict majority is the size-appropriate bound.
             assert!(
-                m.connectivity_incremental_updates > m.connectivity_rebuilds,
+                m.metrics.connectivity_incremental_updates > m.metrics.connectivity_rebuilds,
                 "{}: rebuilds ({}) should be rare against incremental updates ({})",
                 cell.family.name(),
-                m.connectivity_rebuilds,
-                m.connectivity_incremental_updates
+                m.metrics.connectivity_rebuilds,
+                m.metrics.connectivity_incremental_updates
             );
         }
     }
@@ -1285,9 +1293,9 @@ mod tests {
             })
             .expect("the crash plan sweeps a column root-crash cell");
         let m = run_cell(&cell, plan.plan_seed);
-        assert_eq!(m.crashes_injected, 1, "exactly one scheduled crash");
-        assert_eq!(m.rejoins, 1, "the victim rejoined");
-        assert!(m.rounds_started >= 1, "rounds were live");
+        assert_eq!(m.metrics.crashes_injected, 1, "exactly one scheduled crash");
+        assert_eq!(m.metrics.rejoins, 1, "the victim rejoined");
+        assert!(m.metrics.rounds_started >= 1, "rounds were live");
         assert!(!m.timed_out, "crash recovery must not hang the run");
     }
 

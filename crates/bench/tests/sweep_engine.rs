@@ -132,8 +132,8 @@ fn aggregates_are_consistent_and_scenario_outcomes_differ() {
         assert_eq!(g.runs, 2);
         let total = g.completed_rate + g.stall_rate + g.timeout_rate;
         assert!((total - 1.0).abs() < 1e-9, "rates partition the runs");
-        assert!(g.messages.p50 <= g.messages.p95);
-        assert!(g.moves.mean > 0.0);
+        assert!(g.stat("messages").p50 <= g.stat("messages").p95);
+        assert!(g.stat("moves").mean > 0.0);
         assert_eq!(
             g.timeout_rate, 0.0,
             "DES runs under a fault-free network always reach an outcome"
@@ -142,13 +142,13 @@ fn aggregates_are_consistent_and_scenario_outcomes_differ() {
     let column: Vec<_> = report
         .groups
         .iter()
-        .filter(|g| g.family == Family::Column)
+        .filter(|g| g.cell.family == Family::Column)
         .collect();
     assert!(column.iter().all(|g| g.completed_rate == 1.0));
     let minimal: Vec<_> = report
         .groups
         .iter()
-        .filter(|g| g.family == Family::Minimal)
+        .filter(|g| g.cell.family == Family::Minimal)
         .collect();
     assert!(
         minimal.iter().all(|g| g.stall_rate == 1.0),
@@ -168,7 +168,11 @@ fn fault_injecting_networks_degrade_outcomes_without_breaking_the_engine() {
         assert!((total - 1.0).abs() < 1e-9, "rates partition the runs");
     }
     let rate = |name: &str, pick: fn(&sb_bench::sweep::GroupSummary) -> f64| -> f64 {
-        let groups: Vec<_> = report.groups.iter().filter(|g| g.network == name).collect();
+        let groups: Vec<_> = report
+            .groups
+            .iter()
+            .filter(|g| g.cell.network.name == name)
+            .collect();
         assert!(!groups.is_empty(), "network {name} swept");
         groups.iter().map(|g| pick(g)).sum::<f64>() / groups.len() as f64
     };

@@ -116,32 +116,40 @@ impl Metrics {
         }
     }
 
-    /// Merges another metrics record into this one (used when aggregating
-    /// across repetitions in the benches).
-    pub fn merge(&mut self, other: &Metrics) {
-        self.elections += other.elections;
-        self.activate_msgs += other.activate_msgs;
-        self.ack_msgs += other.ack_msgs;
-        self.select_msgs += other.select_msgs;
-        self.select_ack_msgs += other.select_ack_msgs;
-        self.distance_computations += other.distance_computations;
-        self.elementary_moves += other.elementary_moves;
-        self.elected_hops += other.elected_hops;
-        self.rule_checks += other.rule_checks;
-        self.protocol_drops += other.protocol_drops;
-        self.retransmissions += other.retransmissions;
-        self.duplicates_suppressed += other.duplicates_suppressed;
-        self.delivery_acks += other.delivery_acks;
-        self.delivery_failures += other.delivery_failures;
-        self.connectivity_rebuilds += other.connectivity_rebuilds;
-        self.connectivity_fallback_probes += other.connectivity_fallback_probes;
-        self.connectivity_incremental_updates += other.connectivity_incremental_updates;
-        self.rounds_started += other.rounds_started;
-        self.round_skips += other.round_skips;
-        self.round_cache_evictions += other.round_cache_evictions;
-        self.round_sync_msgs += other.round_sync_msgs;
-        self.crashes_injected += other.crashes_injected;
-        self.rejoins += other.rejoins;
+    /// Every counter with its field name, in field order: the one table
+    /// [`Display`](fmt::Display) iterates and the completeness test checks.
+    pub fn counters(&self) -> [(&'static str, u64); 23] {
+        [
+            ("elections", self.elections),
+            ("activate_msgs", self.activate_msgs),
+            ("ack_msgs", self.ack_msgs),
+            ("select_msgs", self.select_msgs),
+            ("select_ack_msgs", self.select_ack_msgs),
+            ("distance_computations", self.distance_computations),
+            ("elementary_moves", self.elementary_moves),
+            ("elected_hops", self.elected_hops),
+            ("rule_checks", self.rule_checks),
+            ("protocol_drops", self.protocol_drops),
+            ("retransmissions", self.retransmissions),
+            ("duplicates_suppressed", self.duplicates_suppressed),
+            ("delivery_acks", self.delivery_acks),
+            ("delivery_failures", self.delivery_failures),
+            ("connectivity_rebuilds", self.connectivity_rebuilds),
+            (
+                "connectivity_fallback_probes",
+                self.connectivity_fallback_probes,
+            ),
+            (
+                "connectivity_incremental_updates",
+                self.connectivity_incremental_updates,
+            ),
+            ("rounds_started", self.rounds_started),
+            ("round_skips", self.round_skips),
+            ("round_cache_evictions", self.round_cache_evictions),
+            ("round_sync_msgs", self.round_sync_msgs),
+            ("crashes_injected", self.crashes_injected),
+            ("rejoins", self.rejoins),
+        ]
     }
 }
 
@@ -161,55 +169,12 @@ impl fmt::Display for Metrics {
             self.elementary_moves,
             self.elected_hops,
         )?;
-        if self.protocol_drops > 0 {
-            write!(f, " protocol-drops={}", self.protocol_drops)?;
-        }
-        if self.retransmissions > 0 {
-            write!(f, " retransmissions={}", self.retransmissions)?;
-        }
-        if self.duplicates_suppressed > 0 {
-            write!(f, " duplicates-suppressed={}", self.duplicates_suppressed)?;
-        }
-        if self.delivery_acks > 0 {
-            write!(f, " delivery-acks={}", self.delivery_acks)?;
-        }
-        if self.delivery_failures > 0 {
-            write!(f, " delivery-failures={}", self.delivery_failures)?;
-        }
-        if self.connectivity_rebuilds > 0 {
-            write!(f, " connectivity-rebuilds={}", self.connectivity_rebuilds)?;
-        }
-        if self.connectivity_fallback_probes > 0 {
-            write!(
-                f,
-                " connectivity-fallback-probes={}",
-                self.connectivity_fallback_probes
-            )?;
-        }
-        if self.connectivity_incremental_updates > 0 {
-            write!(
-                f,
-                " connectivity-incremental-updates={}",
-                self.connectivity_incremental_updates
-            )?;
-        }
-        if self.rounds_started > 0 {
-            write!(f, " rounds-started={}", self.rounds_started)?;
-        }
-        if self.round_skips > 0 {
-            write!(f, " round-skips={}", self.round_skips)?;
-        }
-        if self.round_cache_evictions > 0 {
-            write!(f, " round-cache-evictions={}", self.round_cache_evictions)?;
-        }
-        if self.round_sync_msgs > 0 {
-            write!(f, " round-sync-msgs={}", self.round_sync_msgs)?;
-        }
-        if self.crashes_injected > 0 {
-            write!(f, " crashes-injected={}", self.crashes_injected)?;
-        }
-        if self.rejoins > 0 {
-            write!(f, " rejoins={}", self.rejoins)?;
+        // The head above prints the first `HEAD` counters, zero or not.
+        const HEAD: usize = 8;
+        for (name, value) in &self.counters()[HEAD..] {
+            if *value > 0 {
+                write!(f, " {}={value}", name.replace('_', "-"))?;
+            }
         }
         Ok(())
     }
@@ -235,25 +200,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_adds_counters() {
-        let mut a = Metrics {
-            elections: 1,
-            elementary_moves: 3,
-            ..Metrics::default()
-        };
-        let b = Metrics {
-            elections: 2,
-            elementary_moves: 4,
-            distance_computations: 7,
-            ..Metrics::default()
-        };
-        a.merge(&b);
-        assert_eq!(a.elections, 3);
-        assert_eq!(a.elementary_moves, 7);
-        assert_eq!(a.distance_computations, 7);
-    }
-
-    #[test]
     fn display_contains_key_counters() {
         let m = Metrics {
             elections: 5,
@@ -263,5 +209,66 @@ mod tests {
         let text = m.to_string();
         assert!(text.contains("elections=5"));
         assert!(text.contains("elementary-moves=55"));
+    }
+
+    #[test]
+    fn counters_and_display_cover_every_field() {
+        // No `..Default`: a new field breaks this literal until the test,
+        // and with it `counters()`, is updated.
+        let m = Metrics {
+            elections: 1001,
+            activate_msgs: 1002,
+            ack_msgs: 1003,
+            select_msgs: 1004,
+            select_ack_msgs: 1005,
+            distance_computations: 1006,
+            elementary_moves: 1007,
+            elected_hops: 1008,
+            rule_checks: 1009,
+            protocol_drops: 1010,
+            retransmissions: 1011,
+            duplicates_suppressed: 1012,
+            delivery_acks: 1013,
+            delivery_failures: 1014,
+            connectivity_rebuilds: 1015,
+            connectivity_fallback_probes: 1016,
+            connectivity_incremental_updates: 1017,
+            rounds_started: 1018,
+            round_skips: 1019,
+            round_cache_evictions: 1020,
+            round_sync_msgs: 1021,
+            crashes_injected: 1022,
+            rejoins: 1023,
+        };
+        let counters = m.counters();
+        let mut names: Vec<&str> = counters.iter().map(|&(name, _)| name).collect();
+        let mut values: Vec<u64> = counters.iter().map(|&(_, value)| value).collect();
+        names.sort_unstable();
+        names.dedup();
+        values.sort_unstable();
+        assert_eq!(names.len(), counters.len(), "counter names are unique");
+        assert_eq!(
+            values,
+            (1001..=1023).collect::<Vec<u64>>(),
+            "each field once"
+        );
+
+        // Every counter is printed as `name=value`; the head drops the
+        // `-msgs` suffix of the four message kinds.
+        let text = m.to_string();
+        let tokens: Vec<&str> = text
+            .split([' ', '(', ')'])
+            .filter(|t| !t.is_empty())
+            .collect();
+        for (name, value) in counters {
+            let kebab = name.replace('_', "-");
+            let printed = tokens.iter().any(|t| {
+                t.split_once('=').is_some_and(|(key, v)| {
+                    v == value.to_string() && (key == kebab || format!("{key}-msgs") == kebab)
+                })
+            });
+            assert!(printed, "{name}={value} missing from `{text}`");
+        }
+        assert!(text.contains(" rule-checks=1009"));
     }
 }

@@ -52,16 +52,16 @@ fn print_groups(report: &SweepReport) {
     for g in &report.groups {
         println!(
             "{:>11} {:>4} {:>20} {:>8.0}% {:>5.0}% {:>7.0}% {:>12.0} {:>14.0} {:>10.0} {:>10.0}",
-            g.family.name(),
-            g.blocks,
-            g.network,
+            g.cell.family.name(),
+            g.cell.blocks,
+            g.cell.network.name,
             g.completed_rate * 100.0,
             g.stall_rate * 100.0,
             g.timeout_rate * 100.0,
-            g.messages.p50,
-            g.distance_computations.p50,
-            g.moves.p50,
-            g.moves.p95,
+            g.stat("messages").p50,
+            g.stat("distance_computations").p50,
+            g.stat("moves").p50,
+            g.stat("moves").p95,
         );
     }
 }
@@ -109,26 +109,26 @@ fn main() {
     let column: Vec<_> = report
         .groups
         .iter()
-        .filter(|g| g.family == Family::Column && g.network == "fixed_10us")
+        .filter(|g| g.cell.family == Family::Column && g.cell.network.name == "fixed_10us")
         .collect();
     let pts = |select: fn(&sb_bench::sweep::GroupSummary) -> f64| -> Vec<(f64, f64)> {
         column
             .iter()
-            .map(|g| (g.blocks as f64, select(g)))
+            .map(|g| (g.cell.blocks as f64, select(g)))
             .collect()
     };
     println!("\nEmpirical growth exponents, column family (slope of log-log fit):");
     println!(
         "  messages              ~ N^{:.2}   (Remark 3 upper bound: N^3)",
-        fit_exponent(&pts(|g| g.messages.mean))
+        fit_exponent(&pts(|g| g.stat("messages").mean))
     );
     println!(
         "  distance computations ~ N^{:.2}   (Remark 2 upper bound: N^3)",
-        fit_exponent(&pts(|g| g.distance_computations.mean))
+        fit_exponent(&pts(|g| g.stat("distance_computations").mean))
     );
     println!(
         "  elementary moves      ~ N^{:.2}   (Remark 4 upper bound: N^2)",
-        fit_exponent(&pts(|g| g.moves.mean))
+        fit_exponent(&pts(|g| g.stat("moves").mean))
     );
 
     // Assumption-violation probes: jitter bursts respect Assumption 3
