@@ -7,11 +7,57 @@
 //! sensors (its position, its lateral neighbours, its own admissible
 //! motions) — plus the one world mutation a block can cause: executing a
 //! motion it participates in.
+//!
+//! ## The Eq. 9 verdict memo
+//!
+//! Algorithm 1 floods every block in every election and each block
+//! evaluates `d_BO` (Eqs. 8–10), yet an election's hop changes at most a
+//! couple of cells.  Under the rule-based model the world therefore
+//! memoises the Eq. 9 feasibility verdict per cell and, after each hop,
+//! clears only the entries the hop can have flipped.  The invariant that
+//! makes this sound: **a certified single relocation leaves piece
+//! structure unchanged outside the 8-rings of the changed cells.**  A hop
+//! is *certified* when its net effect vacates at most one cell and fills
+//! at most one, the vacated cell passes
+//! [`sb_grid::articulation::ring_certificate`] on the pre-move board and
+//! the filled cell passes it on the post-move board: every path through
+//! either cell reroutes inside its ring, so removing or adding it merges
+//! and splits nothing.  A verdict is a function of the rule windows
+//! around its cell, of where each probed batch's net vacated and filled
+//! cells attach, and of the piece structure beyond them — so a certified
+//! hop leaves every verdict farther than `R` (Chebyshev) from both changed
+//! cells intact, and clears the `(2R+1)²` blocks around them.  Any other
+//! hop clears the whole memo, as does a grid epoch that advanced without
+//! passing through [`SurfaceWorld::hop_towards_output`].
+//!
+//! `R` is derived from the catalogue when the world is built: over every
+//! compiled rule and every subject move, the largest of the window's
+//! reach from the subject, the distance to a net destination plus one,
+//! and the distance to a net source plus one.  The `+ 1` covers the
+//! attachment of a net cell (its lateral neighbours and ring).  For the
+//! standard 3×3 catalogue `R = 3`: in a carrying chain led by a helper,
+//! the net destination lies two cells from the subject and the verdict
+//! reads that cell's lateral neighbours three cells away.
+//!
+//! A hit keeps the connectivity oracle on the course the skipped scan
+//! would have driven it along, so every oracle counter stays exact.  Each
+//! probe of the scan reports what decided it ([`ProbeBasis`]).  A
+//! certificate only synchronised the oracle to the epoch, which the hit
+//! repeats.  A forest verdict also synchronised the DFS forest, which the
+//! hit repeats too ([`ConnectivityOracle::sync_forest`]).  It skips the
+//! probe's hazard checks: their cells lie within `R - 1` of the entry,
+//! so a hazard logged after the fill would have cleared the entry, and
+//! one logged before was checked (or flushed by a rebuild) at the fill.
+//! Verdicts that rest on state a later epoch does not reproduce — the
+//! pendant mover, separating-pair reasoning, the BFS fallback — are not
+//! memoised.  Debug builds recompute every hit through the planner's own
+//! oracle and assert the verdict.
 
 use crate::messages::Distance;
 use crate::metrics::Metrics;
+use sb_grid::articulation::ring_certificate;
 use sb_grid::graph::{OrientedGraph, UNREACHABLE};
-use sb_grid::{BlockId, ConnectivityOracle, OccupancyGrid, Pos, SurfaceConfig};
+use sb_grid::{BlockId, ConnectivityOracle, OccupancyGrid, Pos, ProbeBasis, SurfaceConfig};
 use sb_motion::{MotionPlanner, PlannedMotion, RuleCatalog, RuleId};
 use std::cell::{Ref, RefCell};
 use std::fmt;
@@ -100,6 +146,10 @@ pub struct SurfaceWorld {
     /// The occupancy-derived caches, all keyed by the grid's epoch
     /// counter (see [`WorldCache`]).
     cache: RefCell<WorldCache>,
+    /// Chebyshev radius around a changed cell within which a certified
+    /// hop can flip an Eq. 9 verdict, derived from the catalogue
+    /// ([`verdict_radius`]).
+    verdict_radius: i32,
 }
 
 /// Memoised views of the current occupancy, unified under one epoch
@@ -123,6 +173,26 @@ struct WorldCache {
     /// reaching the Root — reads the output cell's entry instead of
     /// re-running a BFS per ask.
     path_field: Option<Vec<u32>>,
+    /// Grid epoch the `verdicts` describe.  A certified hop carries the
+    /// memo to its new epoch; any other epoch change empties it.
+    verdict_epoch: Option<u64>,
+    /// The Eq. 9 verdict memo, one entry per cell index (module docs).
+    verdicts: Vec<Eq9Verdict>,
+}
+
+/// One memoised Eq. 9 verdict, with what a hit must do so the
+/// connectivity oracle evolves as if the scan that computed it had run
+/// again (module docs).
+#[derive(Clone, Copy, Debug, Default)]
+struct Eq9Verdict {
+    /// Whether the entry holds a verdict.
+    valid: bool,
+    /// Whether the block on the cell can hop towards the output.
+    can_hop: bool,
+    /// Whether the scan synchronised the oracle to its epoch.
+    synced: bool,
+    /// Whether the scan synchronised the oracle's DFS forest.
+    forest: bool,
 }
 
 impl SurfaceWorld {
@@ -133,6 +203,7 @@ impl SurfaceWorld {
             MotionModel::RuleBased => MotionPlanner::new(catalog),
             MotionModel::FreeMotion => MotionPlanner::new(catalog).without_connectivity_check(),
         };
+        let verdict_radius = verdict_radius(planner.catalog());
         SurfaceWorld {
             config,
             planner,
@@ -145,6 +216,7 @@ impl SurfaceWorld {
             frames: Vec::new(),
             record_frames: false,
             cache: RefCell::new(WorldCache::default()),
+            verdict_radius,
         }
     }
 
@@ -415,34 +487,130 @@ impl SurfaceWorld {
 
     /// The Eq. (9) feasibility probe behind [`SurfaceWorld::distance_to_output`].
     ///
-    /// Under the rule-based model this routes through the planner's
+    /// Under the rule-based model a miss routes through the planner's
     /// short-circuiting fast path — stop at the first admissible motion,
     /// no `PlannedMotion` materialised, no sorting, no heap allocation
     /// after warm-up — rather than enumerating every admissible motion
     /// only to test the list for emptiness.  The locking policy is passed
     /// down as the admission filter, so the answer is exactly
-    /// `!admissible_motions_towards_output(pos).is_empty()`.
+    /// `!admissible_motions_towards_output(pos).is_empty()`.  The answer
+    /// is memoised per cell (module docs); a hit repeats only the oracle
+    /// synchronisation the scan performed.
     fn can_hop_towards_output(&mut self, pos: Pos) -> bool {
-        match self.motion_model {
-            MotionModel::RuleBased => {
-                self.metrics.rule_checks += 1;
-                let input = self.config.input();
-                let output = self.config.output();
-                let graph = self.config.graph();
-                let oracle = &mut self.cache.borrow_mut().oracle;
-                self.planner.any_motion_towards_with(
-                    self.config.grid(),
-                    pos,
-                    output,
-                    |moves| {
-                        moves
-                            .iter()
-                            .all(|&(from, _)| !locked_cell(from, input, output, &graph))
-                    },
-                    oracle,
-                )
+        if self.motion_model == MotionModel::FreeMotion {
+            return !self.free_motion_destinations(pos).is_empty();
+        }
+        self.metrics.rule_checks += 1;
+        let grid = self.config.grid();
+        let input = self.config.input();
+        let output = self.config.output();
+        let graph = self.config.graph();
+        let admit = |moves: &[(Pos, Pos)]| {
+            moves
+                .iter()
+                .all(|&(from, _)| !locked_cell(from, input, output, &graph))
+        };
+        let cache = self.cache.get_mut();
+        if cache.verdict_epoch != Some(grid.epoch()) {
+            cache.verdicts.clear();
+            cache
+                .verdicts
+                .resize(grid.bounds().area(), Eq9Verdict::default());
+            cache.verdict_epoch = Some(grid.epoch());
+        }
+        let index = grid.bounds().index_of(pos);
+        let memo = cache.verdicts[index];
+        if memo.valid {
+            if memo.forest {
+                cache.oracle.sync_forest(grid);
+            } else if memo.synced {
+                cache.oracle.component_count(grid);
             }
-            MotionModel::FreeMotion => !self.free_motion_destinations(pos).is_empty(),
+            debug_assert_eq!(
+                memo.can_hop,
+                self.planner.any_motion_towards(grid, pos, output, admit),
+                "memoised Eq. 9 verdict at {pos} is stale"
+            );
+            return memo.can_hop;
+        }
+        let mut fresh = Eq9Verdict {
+            valid: true,
+            ..Eq9Verdict::default()
+        };
+        fresh.can_hop = self
+            .planner
+            .any_motion_towards_with(grid, pos, output, admit, |moves| {
+                let (connected, basis) = cache.oracle.probe(grid, moves);
+                match basis {
+                    ProbeBasis::Trivial => {}
+                    ProbeBasis::Certificate => fresh.synced = true,
+                    ProbeBasis::Forest => fresh.forest = true,
+                    // Verdicts tied to oracle state a later epoch does
+                    // not reproduce: recompute every time.
+                    ProbeBasis::PendantMover
+                    | ProbeBasis::SeparatingPair
+                    | ProbeBasis::Fallback => {
+                        fresh.valid = false;
+                    }
+                }
+                connected
+            });
+        cache.verdicts[index] = fresh;
+        fresh.can_hop
+    }
+
+    /// Executes a planned rule motion and carries the Eq. 9 memo across
+    /// it: a certified hop clears the entries within `verdict_radius` of
+    /// its changed cells, any other hop clears them all (module docs).
+    /// Allocation-free.
+    fn apply_rule_motion(&mut self, moves: &[(Pos, Pos)]) {
+        // Net effect: cells vacated and not refilled, cells filled and
+        // not vacated (a carrying chain's hand-over cells cancel).
+        let (mut vacated, mut filled) = (None, None);
+        let mut certified = true;
+        for &(from, _) in moves {
+            if !moves.iter().any(|&(_, to)| to == from) {
+                certified &= vacated.replace(from).is_none();
+            }
+        }
+        for &(_, to) in moves {
+            if !moves.iter().any(|&(from, _)| from == to) {
+                certified &= filled.replace(to).is_none();
+            }
+        }
+        let pre_epoch = self.grid().epoch();
+        let grid = self.config.grid();
+        certified &= vacated.is_none_or(|f| ring_certificate(&|p| grid.is_occupied(p), f));
+        self.config
+            .grid_mut()
+            .apply_simultaneous_moves(moves)
+            .expect("planned motion must be executable");
+        let grid = self.config.grid();
+        certified &= filled.is_none_or(|t| ring_certificate(&|p| grid.is_occupied(p), t));
+
+        let cache = self.cache.get_mut();
+        if cache.verdict_epoch != Some(pre_epoch) {
+            // Already stale: the next probe empties it.
+            return;
+        }
+        cache.verdict_epoch = Some(grid.epoch());
+        if !certified {
+            for entry in cache.verdicts.iter_mut() {
+                entry.valid = false;
+            }
+            return;
+        }
+        let bounds = grid.bounds();
+        let r = self.verdict_radius;
+        for centre in vacated.into_iter().chain(filled) {
+            for y in centre.y - r..=centre.y + r {
+                for x in centre.x - r..=centre.x + r {
+                    let p = Pos::new(x, y);
+                    if bounds.contains(p) {
+                        cache.verdicts[bounds.index_of(p)].valid = false;
+                    }
+                }
+            }
         }
     }
 
@@ -514,10 +682,7 @@ impl SurfaceWorld {
             .collect();
         match self.motion_model {
             MotionModel::RuleBased => {
-                self.config
-                    .grid_mut()
-                    .apply_simultaneous_moves(&moves)
-                    .expect("planned motion must be executable");
+                self.apply_rule_motion(&moves);
             }
             MotionModel::FreeMotion => {
                 for &(from, to) in &moves {
@@ -528,8 +693,8 @@ impl SurfaceWorld {
                 }
             }
         }
-        // No cache invalidation needed: the mutations above advanced the
-        // grid's epoch, which every derived cache keys on.
+        // Every other derived cache keys on the grid's epoch, which the
+        // mutations above advanced.
         self.metrics.elementary_moves += moves.len() as u64;
         self.metrics.elected_hops += 1;
         self.move_log.push(MoveRecord {
@@ -637,6 +802,31 @@ impl SurfaceWorld {
     }
 }
 
+/// The Eq. 9 memo radius `R` of a catalogue (module docs): over every
+/// compiled rule and subject move, the largest Chebyshev distance from
+/// the subject to a window cell, to a net destination plus one, and to a
+/// net source plus one.
+fn verdict_radius(catalog: &RuleCatalog) -> i32 {
+    let mut radius = 0;
+    for rule in catalog.compiled() {
+        let half = i32::try_from(rule.size / 2).expect("window sizes are tiny");
+        for subject in &rule.moves {
+            let (sx, sy) = subject.from;
+            let dist = |(x, y): (i32, i32)| (x - sx).abs().max((y - sy).abs());
+            radius = radius.max(half + sx.abs().max(sy.abs()));
+            for m in &rule.moves {
+                if !rule.moves.iter().any(|o| o.to == m.from) {
+                    radius = radius.max(dist(m.from) + 1);
+                }
+                if !rule.moves.iter().any(|o| o.from == m.to) {
+                    radius = radius.max(dist(m.to) + 1);
+                }
+            }
+        }
+    }
+    radius
+}
+
 /// The locking policy of [`SurfaceWorld::is_locked`] as a free function,
 /// so the planner's admission closure can use it without borrowing the
 /// whole world.
@@ -663,6 +853,7 @@ impl fmt::Debug for SurfaceWorld {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::driver::ReconfigurationDriver;
 
     fn small_world() -> SurfaceWorld {
         // Output at the top of column 1, Root at I=(1,0).
@@ -835,6 +1026,89 @@ mod tests {
         let graph = w.config().graph();
         let fresh = graph.occupied_distance_field(w.grid());
         assert_eq!(*w.occupied_distance_field(), fresh);
+    }
+
+    #[test]
+    fn memo_radius_is_derived_from_the_catalogue() {
+        // A helper-led carrying chain puts the net destination two cells
+        // from its subject: R = 2 + 1.
+        assert_eq!(verdict_radius(&RuleCatalog::standard()), 3);
+        // Sliding alone: destination one cell away.
+        assert_eq!(verdict_radius(&RuleCatalog::sliding_only()), 2);
+    }
+
+    /// Eq. 9 verdicts of every block, from a fresh world on `config`.
+    fn fresh_verdicts(config: &SurfaceConfig) -> Vec<(Pos, bool)> {
+        let mut fresh = SurfaceWorld::standard(config.clone());
+        let blocks: Vec<(BlockId, Pos)> = fresh.grid().blocks().collect();
+        blocks
+            .into_iter()
+            .map(|(b, p)| (p, !fresh.distance_to_output(b).is_infinite()))
+            .collect()
+    }
+
+    #[test]
+    fn loop_closing_hop_clears_the_whole_memo() {
+        // The block at (2,4) is carried west onto (1,4) while (3,4)
+        // follows it.  The landing joins the west column to the ribbon
+        // and closes the loop through the bottom row, so (2,0) stops
+        // being a cut vertex and can now climb to (2,1) — four cells from
+        // both changed cells, beyond the local invalidation radius.  The
+        // landing fails the ring certificate, so the whole memo must go.
+        let cfg = SurfaceConfig::from_ascii(
+            ". O . . .\n\
+             . . . . .\n\
+             # . # # .\n\
+             # . # # .\n\
+             # . # # .\n\
+             # . . # .\n\
+             # I # # #",
+        )
+        .unwrap();
+        let far = Pos::new(2, 0);
+        let before = fresh_verdicts(&cfg);
+        assert!(before.contains(&(far, false)));
+
+        let mut w = SurfaceWorld::standard(cfg);
+        let blocks: Vec<(BlockId, Pos)> = w.grid().blocks().collect();
+        for &(b, _) in &blocks {
+            w.distance_to_output(b);
+        }
+        let mover = w.grid().block_at(Pos::new(2, 4)).unwrap();
+        assert!(w.hop_towards_output(mover, 1).moved);
+        let moves: Vec<(Pos, Pos)> = w.move_log()[0]
+            .moves
+            .iter()
+            .map(|&(_, from, to)| (from, to))
+            .collect();
+        assert_eq!(
+            moves,
+            vec![
+                (Pos::new(2, 4), Pos::new(1, 4)),
+                (Pos::new(3, 4), Pos::new(2, 4))
+            ]
+        );
+
+        let after = fresh_verdicts(w.config());
+        assert!(after.contains(&(far, true)), "the far verdict flips");
+        for (p, expected) in after {
+            let b = w.grid().block_at(p).unwrap();
+            let memoised = !w.distance_to_output(b).is_infinite();
+            assert_eq!(memoised, expected, "memoised Eq. 9 verdict at {p}");
+        }
+    }
+
+    #[test]
+    fn memo_radius_covers_a_helper_led_carrying_chain() {
+        // On this blob a vacate at (2,3) flips the verdict at (2,0), three
+        // cells away; a memo radius below the derived R = 3 keeps that
+        // entry stale, which the debug-build check of every hit catches.
+        let report = ReconfigurationDriver::new(crate::workloads::random_blob_instance(11, 17))
+            .with_seed(17)
+            .run_des();
+        assert!(report.completed || report.stalled);
+        let config = SurfaceConfig::from_ascii(&report.final_ascii).unwrap();
+        assert!(config.grid().is_connected());
     }
 
     #[test]

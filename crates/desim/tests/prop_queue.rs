@@ -77,8 +77,8 @@ proptest! {
     /// Every pop agrees with the `BinaryHeap` model in `(time, seq)`,
     /// the lengths stay in lockstep, and both drain to the same tail.
     #[test]
-    fn calendar_pops_in_exact_heap_order(ops in ops_strategy()) {
-        let mut calendar: RadixQueue<u64> = RadixQueue::new();
+    fn radix_pops_in_exact_heap_order(ops in ops_strategy()) {
+        let mut radix: RadixQueue<u64> = RadixQueue::new();
         let mut model: BinaryHeap<Event<u64>> = BinaryHeap::new();
         let mut seq = 0u64;
         let mut now = 0u64;
@@ -86,16 +86,16 @@ proptest! {
             match op {
                 Op::Push { dt } => {
                     let t = now + dt;
-                    calendar.push(ev(t, seq));
+                    radix.push(ev(t, seq));
                     model.push(ev(t, seq));
                     seq += 1;
                 }
                 Op::Pop { n } => {
                     for _ in 0..n {
-                        prop_assert_eq!(calendar.len(), model.len());
+                        prop_assert_eq!(radix.len(), model.len());
                         let expect = model.pop().map(|e| (e.time, e.seq));
-                        prop_assert_eq!(calendar.peek_key(), expect);
-                        let got = calendar.pop().map(|e| (e.time, e.seq));
+                        prop_assert_eq!(radix.peek_key(), expect);
+                        let got = radix.pop().map(|e| (e.time, e.seq));
                         prop_assert_eq!(got, expect);
                         if let Some((t, _)) = got {
                             now = t.as_micros();
@@ -106,15 +106,15 @@ proptest! {
         }
         // Drain both to the end: the tails must agree too.
         loop {
-            prop_assert_eq!(calendar.len(), model.len());
+            prop_assert_eq!(radix.len(), model.len());
             let expect = model.pop().map(|e| (e.time, e.seq));
-            let got = calendar.pop().map(|e| (e.time, e.seq));
+            let got = radix.pop().map(|e| (e.time, e.seq));
             prop_assert_eq!(got, expect);
             if got.is_none() {
                 break;
             }
         }
-        prop_assert!(calendar.is_empty());
+        prop_assert!(radix.is_empty());
     }
 
     /// A bulk load pushed before any pop — hundreds of events spread over
@@ -124,18 +124,18 @@ proptest! {
     fn bulk_load_with_resizes_drains_sorted(
         times in proptest::collection::vec(dt_strategy(), 200..600)
     ) {
-        let mut calendar: RadixQueue<u64> = RadixQueue::new();
+        let mut radix: RadixQueue<u64> = RadixQueue::new();
         let mut expected: Vec<(u64, u64)> = Vec::with_capacity(times.len());
         let mut t = 0u64;
         for (seq, dt) in times.into_iter().enumerate() {
             // A meandering but non-decreasing schedule, as the simulator
             // produces.
             t += dt;
-            calendar.push(ev(t, seq as u64));
+            radix.push(ev(t, seq as u64));
             expected.push((t, seq as u64));
         }
         expected.sort_unstable();
-        let drained: Vec<(u64, u64)> = std::iter::from_fn(|| calendar.pop())
+        let drained: Vec<(u64, u64)> = std::iter::from_fn(|| radix.pop())
             .map(|e| (e.time.as_micros(), e.seq))
             .collect();
         prop_assert_eq!(drained, expected);

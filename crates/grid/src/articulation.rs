@@ -166,6 +166,34 @@ enum EditKind {
     Missing,
 }
 
+/// Which part of a [`ConnectivityOracle`] decided a Remark 1 probe
+/// ([`ConnectivityOracle::probe`]), and hence what the probe did to the
+/// oracle's state besides answering.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum ProbeBasis {
+    /// At most one block on the board: answered before any
+    /// synchronisation.
+    Trivial,
+    /// A local certificate — the net-empty batch, the ring certificate of
+    /// a net single relocation, or the pair certificate — after the epoch
+    /// synchronisation ([`ConnectivityOracle::component_count`] performs
+    /// the same one).  The verdict depends only on the cells around the
+    /// batch and the component count.
+    Certificate,
+    /// The pendant-mover invariant, after the epoch synchronisation.  It
+    /// holds only until another block moves.
+    PendantMover,
+    /// Cut bits and preorder intervals of the DFS forest, after the forest
+    /// synchronisation ([`ConnectivityOracle::sync_forest`]) and the
+    /// probe's hazard checks.
+    Forest,
+    /// Separating-pair reasoning on the DFS forest for a genuine two-cell
+    /// vacate; whether it decides depends on the forest's shape.
+    SeparatingPair,
+    /// The scratch BFS.
+    Fallback,
+}
+
 /// Cut-vertex connectivity oracle (see the module docs).
 ///
 /// Create once per planner or world and pass to every probe; the oracle
@@ -257,8 +285,16 @@ impl ConnectivityOracle {
     /// block-cut-tree state, everything else falls back to the scratch
     /// BFS (see the module docs for the exact contract).
     pub fn preserves_connectivity(&mut self, grid: &OccupancyGrid, moves: &[(Pos, Pos)]) -> bool {
+        self.probe(grid, moves).0
+    }
+
+    /// [`ConnectivityOracle::preserves_connectivity`], also reporting
+    /// which part of the oracle decided the verdict — and so what the
+    /// probe did to the oracle's state besides answering (see
+    /// [`ProbeBasis`]).
+    pub fn probe(&mut self, grid: &OccupancyGrid, moves: &[(Pos, Pos)]) -> (bool, ProbeBasis) {
         if grid.block_count() <= 1 {
-            return true;
+            return (true, ProbeBasis::Trivial);
         }
         self.ensure_light(grid);
         // Net-effect reduction.  The post-move board is
@@ -297,20 +333,30 @@ impl ConnectivityOracle {
             }
             let verdict = match (nv, nf) {
                 // The net-empty batch leaves the board as it stands.
-                (0, 0) => Some(self.components <= 1),
+                (0, 0) => Some((self.components <= 1, ProbeBasis::Certificate)),
                 // One net cell out, one in: exactly the single-move
-                // shape, whether or not the two are adjacent.  The
-                // forest-free fast path (pendant mover or local bypass
-                // certificate) decides the dominant case; only a miss
-                // consults — and if necessary lazily rebuilds — the DFS
+                // shape, whether or not the two are adjacent.  Once the
+                // ring certificate or the pendant-mover invariant proves
+                // `occupancy \ {f}` connected, the move preserves
+                // connectivity iff `t` touches a block other than the
+                // mover; only when neither applies does the probe
+                // consult — and if necessary lazily rebuild — the DFS
                 // forest.
                 (1, 1) if self.components == 1 => {
                     let (f, t) = (vacated[0], filled[0]);
-                    if let Some(connected) = self.single_move_fast(grid, f, t) {
-                        Some(connected)
+                    let attached = || {
+                        t.neighbors4()
+                            .iter()
+                            .any(|&q| q != f && grid.is_occupied(q))
+                    };
+                    if ring_certificate(&|p: Pos| grid.is_occupied(p), f) {
+                        Some((attached(), ProbeBasis::Certificate))
+                    } else if self.sat == Some(f) && self.sat_removable {
+                        Some((attached(), ProbeBasis::PendantMover))
                     } else {
                         self.ensure_forest_for(grid, &[f], &[t]);
                         self.single_move_verdict(grid, f, t)
+                            .map(|connected| (connected, ProbeBasis::Forest))
                     }
                 }
                 // A genuine pair vacate: certificate first, then
@@ -318,21 +364,23 @@ impl ConnectivityOracle {
                 (2, 2) => {
                     let (pair, dests) = ((vacated[0], vacated[1]), (filled[0], filled[1]));
                     if let Some(connected) = self.pair_fast(grid, pair, dests) {
-                        Some(connected)
+                        Some((connected, ProbeBasis::Certificate))
                     } else {
                         self.ensure_forest_for(grid, &[pair.0, pair.1], &[dests.0, dests.1]);
                         self.pair_vacate_verdict(grid, pair, dests)
+                            .map(|connected| (connected, ProbeBasis::SeparatingPair))
                     }
                 }
                 _ => None,
             };
-            if let Some(connected) = verdict {
+            if let Some(decided) = verdict {
                 self.fast_probes += 1;
-                return connected;
+                return decided;
             }
         }
         self.fallback_probes += 1;
-        connectivity::is_connected_after(grid, moves, &mut self.bfs)
+        let connected = connectivity::is_connected_after(grid, moves, &mut self.bfs);
+        (connected, ProbeBasis::Fallback)
     }
 
     /// Whether the block at `pos` is an articulation point of the current
@@ -347,6 +395,16 @@ impl ConnectivityOracle {
     pub fn component_count(&mut self, grid: &OccupancyGrid) -> u32 {
         self.ensure_light(grid);
         self.components
+    }
+
+    /// Synchronises the light state and the DFS forest to the grid's
+    /// current epoch, rebuilding the forest if light updates let it
+    /// lapse: what a [`ProbeBasis::Forest`] probe does before answering,
+    /// minus the hazard checks tied to its own cells.  A caller that
+    /// memoised such a probe's verdict calls this instead of re-issuing
+    /// the probe, where it can show those checks would pass.
+    pub fn sync_forest(&mut self, grid: &OccupancyGrid) {
+        self.ensure_forest(grid);
     }
 
     /// The cut-vertex bitboard for `grid` (same word layout as
@@ -1236,21 +1294,6 @@ impl ConnectivityOracle {
         }
     }
 
-    /// Forest-free O(1) verdict for a net single relocation on a
-    /// connected ensemble: the pendant-mover invariant or the ring
-    /// certificate proves `occupancy \ {f}` connected, after which the
-    /// move preserves connectivity iff `t` touches a block other than the
-    /// mover.  `None` when neither applies (the forest decides).
-    fn single_move_fast(&self, grid: &OccupancyGrid, f: Pos, t: Pos) -> Option<bool> {
-        let removable = (self.sat == Some(f) && self.sat_removable)
-            || ring_certificate(&|p: Pos| grid.is_occupied(p), f);
-        removable.then(|| {
-            t.neighbors4()
-                .iter()
-                .any(|&q| q != f && grid.is_occupied(q))
-        })
-    }
-
     /// Forest-free O(1) verdict for a genuine pair vacate, via the pair
     /// certificate.  `None` when the certificate cannot decide.
     fn pair_fast(&self, grid: &OccupancyGrid, pair: (Pos, Pos), dests: (Pos, Pos)) -> Option<bool> {
@@ -1602,7 +1645,7 @@ impl ConnectivityOracle {
 /// particular a connected ensemble stays connected.  The check is sound
 /// but not complete (a far-away bypass is invisible to it); a `false`
 /// only means "the ring alone cannot tell".
-fn ring_certificate(occupied: &impl Fn(Pos) -> bool, f: Pos) -> bool {
+pub fn ring_certificate(occupied: &impl Fn(Pos) -> bool, f: Pos) -> bool {
     // Circular order; cardinal neighbours at even indices.
     const RING: [(i32, i32); 8] = [
         (1, 0),
@@ -1728,6 +1771,32 @@ mod tests {
             }
         }
         g
+    }
+
+    #[test]
+    fn probe_reports_what_decided_it() {
+        let mut oracle = ConnectivityOracle::new();
+        let lone = grid_from(&[(1, 1)]);
+        let s = |x, y| Pos::new(x, y);
+        assert_eq!(
+            oracle.probe(&lone, &[(s(1, 1), s(2, 1))]),
+            (true, ProbeBasis::Trivial)
+        );
+        // A bar of three: an end block certifies by its ring, the middle
+        // one is a cut vertex the forest must judge.
+        let bar = grid_from(&[(0, 0), (1, 0), (2, 0)]);
+        assert_eq!(
+            oracle.probe(&bar, &[(s(2, 0), s(1, 1))]),
+            (true, ProbeBasis::Certificate)
+        );
+        assert_eq!(
+            oracle.probe(&bar, &[(s(1, 0), s(1, 1))]),
+            (false, ProbeBasis::Forest)
+        );
+        // Five net vacates exceed every O(1) shape.
+        let row = grid_from(&[(0, 0), (1, 0), (2, 0), (3, 0), (4, 0)]);
+        let lift: Vec<(Pos, Pos)> = (0..5).map(|x| (s(x, 0), s(x, 1))).collect();
+        assert_eq!(oracle.probe(&row, &lift), (true, ProbeBasis::Fallback));
     }
 
     #[test]

@@ -22,6 +22,7 @@
 //! touching a `String` or allocating per comparison.
 
 use crate::event::EventCode;
+use crate::matrix::MAX_MOTION_SIZE;
 use crate::rule::MotionRule;
 use sb_grid::{OccupancyGrid, Pos};
 
@@ -66,7 +67,10 @@ impl CompiledRule {
     /// catalogue.
     pub fn compile(rule: &MotionRule, id: RuleId) -> Self {
         let size = rule.size();
-        assert!(size <= 8, "window masks hold at most 8x8 bits");
+        assert!(
+            size <= MAX_MOTION_SIZE,
+            "MotionMatrix admits sides up to {MAX_MOTION_SIZE}"
+        );
         assert!(
             rule.moves().len() <= MAX_MOVES_PER_RULE,
             "a rule window cannot trigger more than {MAX_MOVES_PER_RULE} moves"

@@ -36,7 +36,8 @@ impl fmt::Display for MatrixCoord {
 /// Errors building a matrix.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum MatrixError {
-    /// The size is not an odd number at least 3.
+    /// The size is not an odd number at least 3 (and, for a Motion
+    /// Matrix, at most [`MAX_MOTION_SIZE`]).
     BadSize(usize),
     /// The number of entries does not match `size * size`.
     BadEntryCount {
@@ -52,7 +53,10 @@ pub enum MatrixError {
 impl fmt::Display for MatrixError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            MatrixError::BadSize(s) => write!(f, "matrix size {s} must be odd and >= 3"),
+            MatrixError::BadSize(s) => write!(
+                f,
+                "matrix size {s} must be odd and >= 3 (a Motion Matrix at most {MAX_MOTION_SIZE})"
+            ),
             MatrixError::BadEntryCount { expected, got } => {
                 write!(f, "expected {expected} entries, got {got}")
             }
@@ -62,6 +66,11 @@ impl fmt::Display for MatrixError {
 }
 
 impl std::error::Error for MatrixError {}
+
+/// Largest Motion Matrix side: a compiled rule lowers its window to
+/// one `u64` bitmask per event class (at most 8×8 cells), and sides are
+/// odd.
+pub const MAX_MOTION_SIZE: usize = 7;
 
 /// A Motion Matrix: the event expected at every cell of the local window
 /// while the rule executes.
@@ -75,7 +84,7 @@ impl MotionMatrix {
     /// Builds a matrix from numeric codes in row-major order (north row
     /// first), as they are written in the paper and in the XML file.
     pub fn from_codes(size: usize, codes: &[u8]) -> Result<Self, MatrixError> {
-        check_size(size)?;
+        check_motion_size(size)?;
         if codes.len() != size * size {
             return Err(MatrixError::BadEntryCount {
                 expected: size * size,
@@ -91,7 +100,7 @@ impl MotionMatrix {
 
     /// Builds a matrix from event codes in row-major order.
     pub fn from_events(size: usize, events: Vec<EventCode>) -> Result<Self, MatrixError> {
-        check_size(size)?;
+        check_motion_size(size)?;
         if events.len() != size * size {
             return Err(MatrixError::BadEntryCount {
                 expected: size * size,
@@ -303,6 +312,14 @@ fn check_size(size: usize) -> Result<(), MatrixError> {
     }
 }
 
+fn check_motion_size(size: usize) -> Result<(), MatrixError> {
+    if size > MAX_MOTION_SIZE {
+        Err(MatrixError::BadSize(size))
+    } else {
+        check_size(size)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -383,6 +400,12 @@ mod tests {
         assert_eq!(
             MotionMatrix::from_codes(4, &[0; 16]).unwrap_err(),
             MatrixError::BadSize(4)
+        );
+        // The compiled window masks cap Motion Matrices at 7×7.
+        assert!(MotionMatrix::from_codes(7, &[2; 49]).is_ok());
+        assert_eq!(
+            MotionMatrix::from_codes(9, &[2; 81]).unwrap_err(),
+            MatrixError::BadSize(9)
         );
         assert_eq!(
             MotionMatrix::from_codes(3, &[0; 8]).unwrap_err(),

@@ -348,15 +348,20 @@ impl MotionPlanner {
         )
     }
 
-    /// [`MotionPlanner::any_motion_towards`] probing Remark 1 through a
-    /// caller-owned oracle (shared cut-vertex mask).
+    /// [`MotionPlanner::any_motion_towards`] with a caller-supplied
+    /// Remark 1 probe: `preserves` receives, in scan order, every
+    /// candidate batch that reaches the connectivity filter and answers
+    /// whether it keeps the ensemble connected.  Callers route it through
+    /// their own oracle (a cut-vertex mask shared with every other
+    /// consumer of the same world state) and may observe how each probe
+    /// was decided ([`ConnectivityOracle::probe`]).
     pub fn any_motion_towards_with(
         &self,
         grid: &OccupancyGrid,
         pos: Pos,
         target: Pos,
         admit: impl FnMut(&[(Pos, Pos)]) -> bool,
-        oracle: &mut ConnectivityOracle,
+        mut preserves: impl FnMut(&[(Pos, Pos)]) -> bool,
     ) -> bool {
         let from_d = pos.manhattan(target);
         self.any_motion_matching(
@@ -364,7 +369,7 @@ impl MotionPlanner {
             pos,
             |subject_to| subject_to.manhattan(target) < from_d,
             admit,
-            &mut |moves| oracle.preserves_connectivity(grid, moves),
+            &mut preserves,
         )
     }
 

@@ -326,6 +326,25 @@ mod tests {
     }
 
     #[test]
+    fn oversized_capability_is_a_schema_error() {
+        // Well-formed 9×9 capability: its window does not fit the
+        // compiled rule masks, so parsing must reject it, not panic.
+        let mut states = vec!["2"; 81];
+        states[40] = "4";
+        states[41] = "3";
+        let doc = format!(
+            r#"<capabilities><capability name="big" size="9,9"><states>{}</states>
+            <motions><motion from="4,4" to="5,4"/></motions></capability></capabilities>"#,
+            states.join(" ")
+        );
+        let err = parse_capabilities(&doc).unwrap_err();
+        assert!(
+            matches!(err, SchemaError::BadRule { ref message, .. } if message.contains("size 9")),
+            "{err}"
+        );
+    }
+
+    #[test]
     fn bad_event_code_is_reported() {
         let doc = r#"<capabilities><capability name="x" size="3,3"><states>2 0 0 2 9 3 2 1 1</states>
             <motions><motion from="1,1" to="2,1"/></motions></capability></capabilities>"#;
