@@ -41,24 +41,13 @@ pub(crate) enum MailItem<M> {
     Timer { tag: u64 },
 }
 
-/// Handle of a timer armed through [`ActorContext::set_timer`], usable
-/// to cancel it before it fires.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub struct TimerId(pub(crate) u64);
-
-/// A request to the system's timer thread.
+/// A request to the system's timer thread: deliver
+/// `MailItem::Timer { tag }` to `actor` at `deadline`.
 #[derive(Debug)]
-pub(crate) enum TimerRequest {
-    /// Arm a timer: deliver `MailItem::Timer { tag }` to `actor` at
-    /// `deadline` unless cancelled first.
-    Arm {
-        actor: ActorId,
-        deadline: Instant,
-        tag: u64,
-        id: u64,
-    },
-    /// Best-effort cancellation of a previously armed timer.
-    Cancel { id: u64 },
+pub(crate) struct TimerRequest {
+    pub actor: ActorId,
+    pub deadline: Instant,
+    pub tag: u64,
 }
 
 /// An RGB visual state, mirroring `sb-desim`'s block colours (the
@@ -80,8 +69,6 @@ pub(crate) struct Shared<M, W> {
     pub messages_delivered: AtomicU64,
     /// Requests to the system's timer thread.
     pub timers: Sender<TimerRequest>,
-    /// Monotone source of [`TimerId`]s.
-    pub timer_seq: AtomicU64,
 }
 
 impl<M, W> Shared<M, W> {
@@ -157,25 +144,14 @@ impl<'a, M, W> ActorContext<'a, M, W> {
     /// this actor with the given `tag`, mirroring the simulator's
     /// `Context::set_timer`.  Timer deliveries go through the mailbox
     /// (serialised with messages) and are *not* counted as messages.
-    pub fn set_timer(&mut self, delay: Duration, tag: u64) -> TimerId {
-        let id = self.shared.timer_seq.fetch_add(1, Ordering::Relaxed) + 1;
-        let _ = self.shared.timers.send(TimerRequest::Arm {
+    /// Timers cannot be cancelled: an actor that no longer wants one
+    /// ignores its `tag` when it fires.
+    pub fn set_timer(&mut self, delay: Duration, tag: u64) {
+        let _ = self.shared.timers.send(TimerRequest {
             actor: self.me,
             deadline: Instant::now() + delay,
             tag,
-            id,
         });
-        TimerId(id)
-    }
-
-    /// Best-effort cancellation of a pending timer.  A timer whose expiry
-    /// is already queued in the mailbox may still fire; callers needing
-    /// exact semantics should additionally guard by `tag` in `on_timer`.
-    pub fn cancel_timer(&mut self, timer: TimerId) {
-        let _ = self
-            .shared
-            .timers
-            .send(TimerRequest::Cancel { id: timer.0 });
     }
 
     /// Runs a closure with exclusive access to the shared world and

@@ -52,5 +52,5 @@
 pub mod context;
 pub mod system;
 
-pub use context::{Actor, ActorContext, ActorId, TimerId, VisualState, VISUAL_NEUTRAL};
+pub use context::{Actor, ActorContext, ActorId, VisualState, VISUAL_NEUTRAL};
 pub use system::{ActorRunReport, ActorSystem};

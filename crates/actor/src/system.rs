@@ -6,7 +6,7 @@ use crate::context::{
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError};
 use parking_lot::Mutex;
 use std::cmp::Reverse;
-use std::collections::{BTreeSet, BinaryHeap};
+use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
@@ -35,8 +35,10 @@ pub struct ActorRunReport<W> {
 pub struct ActorSystem<M, W> {
     actors: Vec<Box<dyn Actor<M, W>>>,
     world: W,
-    poll_interval: Duration,
 }
+
+/// How often idle actor threads re-check the stop flag.
+const POLL_INTERVAL: Duration = Duration::from_millis(1);
 
 impl<M, W> ActorSystem<M, W>
 where
@@ -48,14 +50,7 @@ where
         ActorSystem {
             actors: Vec::new(),
             world,
-            poll_interval: Duration::from_millis(1),
         }
-    }
-
-    /// How often idle actor threads re-check the stop flag (default 1 ms).
-    pub fn with_poll_interval(mut self, interval: Duration) -> Self {
-        self.poll_interval = interval;
-        self
     }
 
     /// Registers an actor.  Identifiers are assigned in registration
@@ -75,11 +70,7 @@ where
     /// elapses, whichever comes first, then joins every thread and
     /// returns the world together with run statistics.
     pub fn run(self, deadline: Duration) -> ActorRunReport<W> {
-        let ActorSystem {
-            actors,
-            world,
-            poll_interval,
-        } = self;
+        let ActorSystem { actors, world } = self;
         let n = actors.len();
         let mut senders = Vec::with_capacity(n);
         let mut receivers: Vec<Receiver<MailItem<M>>> = Vec::with_capacity(n);
@@ -97,7 +88,6 @@ where
             messages_sent: AtomicU64::new(0),
             messages_delivered: AtomicU64::new(0),
             timers: timer_tx,
-            timer_seq: AtomicU64::new(0),
         };
         let start = Instant::now();
         let deadline_at = start + deadline;
@@ -136,40 +126,34 @@ where
             // Timer thread: a deadline-ordered min-heap serviced by one
             // dedicated thread.  Expiries are delivered through the
             // owner's mailbox (so they serialise with messages on the
-            // actor's own thread); cancellation is lazy — cancelled ids
-            // are skipped when they reach the top of the heap.  The
-            // thread retires with the same discipline as the watchdog:
-            // stop requested or every actor thread finished.
+            // actor's own thread).  The thread retires with the same
+            // discipline as the watchdog: stop requested or every actor
+            // thread finished.
             {
                 let shared_ref = &shared;
                 let live_actors = &live_actors;
                 scope.spawn(move |_| {
                     let step = Duration::from_millis(1);
-                    let mut heap: BinaryHeap<Reverse<(Instant, u64, usize, u64)>> =
-                        BinaryHeap::new();
-                    let mut cancelled: BTreeSet<u64> = BTreeSet::new();
+                    let mut heap: BinaryHeap<Reverse<(Instant, usize, u64)>> = BinaryHeap::new();
                     loop {
                         if shared_ref.stop_requested() || live_actors.load(Ordering::Acquire) == 0 {
                             return;
                         }
                         // Fire everything due.
                         let now = Instant::now();
-                        while let Some(&Reverse((deadline, id, actor, tag))) = heap.peek() {
+                        while let Some(&Reverse((deadline, actor, tag))) = heap.peek() {
                             if deadline > now {
                                 break;
                             }
                             heap.pop();
-                            if cancelled.remove(&id) {
-                                continue;
-                            }
                             // A send to a disconnected mailbox only
                             // happens during shutdown; dropping the
                             // expiry is correct then.
                             let _ = shared_ref.mailboxes[actor].send(MailItem::Timer { tag });
                         }
-                        // Sleep until the next deadline, the next arm or
-                        // cancel request, or the next stop-flag poll,
-                        // whichever comes first.
+                        // Sleep until the next deadline, the next arm
+                        // request, or the next stop-flag poll, whichever
+                        // comes first.
                         let wait = match heap.peek() {
                             Some(&Reverse((deadline, ..))) => {
                                 deadline.saturating_duration_since(Instant::now()).min(step)
@@ -177,33 +161,12 @@ where
                             None => step,
                         };
                         match timer_rx.recv_timeout(wait) {
-                            Ok(TimerRequest::Arm {
+                            Ok(TimerRequest {
                                 actor,
                                 deadline,
                                 tag,
-                                id,
                             }) => {
-                                heap.push(Reverse((deadline, id, actor.index(), tag)));
-                            }
-                            Ok(TimerRequest::Cancel { id }) => {
-                                cancelled.insert(id);
-                                // Compaction: lazy cancellation lets dead
-                                // entries pile up in the heap (a workload
-                                // that arms and cancels in a tight loop —
-                                // e.g. retransmission timers under a
-                                // healthy network — would otherwise grow
-                                // it without bound).  When more than half
-                                // the heap is cancelled, rebuild it
-                                // without the corpses; amortised O(1) per
-                                // cancel.
-                                if cancelled.len() > heap.len() / 2 {
-                                    let mut entries = std::mem::take(&mut heap).into_vec();
-                                    entries.retain(|Reverse((_, id, _, _))| !cancelled.remove(id));
-                                    heap = BinaryHeap::from(entries);
-                                    // Ids left in `cancelled` were already
-                                    // popped or never armed; forget them.
-                                    cancelled.clear();
-                                }
+                                heap.push(Reverse((deadline, actor.index(), tag)));
                             }
                             Err(RecvTimeoutError::Timeout) => {}
                             Err(RecvTimeoutError::Disconnected) => return,
@@ -223,7 +186,7 @@ where
                     };
                     actor.on_start(&mut ctx);
                     loop {
-                        match rx.recv_timeout(poll_interval) {
+                        match rx.recv_timeout(POLL_INTERVAL) {
                             Ok(MailItem::Message { from, payload }) => {
                                 shared_ref
                                     .messages_delivered
@@ -503,71 +466,6 @@ mod tests {
         let report = system.run(Duration::from_secs(10));
         assert!(report.stopped);
         assert_eq!(report.world, vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn cancelled_timers_do_not_fire() {
-        struct Canceller;
-        impl Actor<(), Vec<u64>> for Canceller {
-            fn on_start(&mut self, ctx: &mut ActorContext<'_, (), Vec<u64>>) {
-                // The cancel request reaches the timer thread long before
-                // the 200 ms deadline, so the suppression is reliable.
-                let doomed = ctx.set_timer(Duration::from_millis(200), 666);
-                ctx.cancel_timer(doomed);
-                ctx.set_timer(Duration::from_millis(300), 1);
-            }
-            fn on_message(&mut self, _: ActorId, _: (), _: &mut ActorContext<'_, (), Vec<u64>>) {}
-            fn on_timer(&mut self, tag: u64, ctx: &mut ActorContext<'_, (), Vec<u64>>) {
-                ctx.with_world(|w| w.push(tag));
-                ctx.request_stop();
-            }
-        }
-        let mut system = ActorSystem::new(Vec::new());
-        system.add_actor(Canceller);
-        let report = system.run(Duration::from_secs(10));
-        assert!(report.stopped);
-        assert_eq!(report.world, vec![1], "the cancelled timer never fired");
-    }
-
-    #[test]
-    fn heap_compaction_preserves_survivors_after_mass_cancellation() {
-        // Arms a burst of far-future timers and cancels them all: the
-        // cancel burst trips the compaction rebuild (cancelled ids
-        // outnumber half the heap) while two live timers sit in the heap.
-        // They must survive the rebuild and still fire in deadline order.
-        struct Churner;
-        impl Actor<(), Vec<u64>> for Churner {
-            fn on_start(&mut self, ctx: &mut ActorContext<'_, (), Vec<u64>>) {
-                let doomed: Vec<_> = (0..48u64)
-                    .map(|i| ctx.set_timer(Duration::from_secs(600 + i), 1000 + i))
-                    .collect();
-                ctx.set_timer(Duration::from_millis(120), 2);
-                ctx.set_timer(Duration::from_millis(60), 1);
-                for id in doomed {
-                    ctx.cancel_timer(id);
-                }
-            }
-            fn on_message(&mut self, _: ActorId, _: (), _: &mut ActorContext<'_, (), Vec<u64>>) {}
-            fn on_timer(&mut self, tag: u64, ctx: &mut ActorContext<'_, (), Vec<u64>>) {
-                let done = ctx.with_world(|w| {
-                    w.push(tag);
-                    w.len() == 2
-                });
-                if done {
-                    ctx.request_stop();
-                }
-            }
-        }
-        let mut system = ActorSystem::new(Vec::new());
-        system.add_actor(Churner);
-        let report = system.run(Duration::from_secs(10));
-        assert!(report.stopped);
-        assert_eq!(report.world, vec![1, 2], "survivors outlive the rebuild");
-        assert!(
-            report.elapsed < Duration::from_secs(5),
-            "no cancelled far-future timer may be waited out: {:?}",
-            report.elapsed
-        );
     }
 
     #[test]

@@ -14,7 +14,7 @@ use crate::runtime::{
     build_actor_system_with_faults, build_des_simulation_with_faults, FaultInjection,
 };
 use crate::world::{MotionModel, MoveRecord, MoveRule, Outcome, SurfaceWorld};
-use sb_desim::{Duration as SimDuration, LatencyModel, NetworkModel};
+use sb_desim::{LatencyModel, NetworkModel};
 use sb_grid::SurfaceConfig;
 use sb_motion::RuleCatalog;
 use std::fmt;
@@ -364,13 +364,6 @@ impl ReconfigurationDriver {
         report.stopped = run.stopped;
         report.timed_out = run.timed_out;
         report
-    }
-
-    /// Convenience: simulated duration of the discrete-event run expressed
-    /// as a [`sb_desim::Duration`] (zero for actor-runtime reports, which
-    /// have no simulated clock).
-    pub fn sim_duration(report: &ReconfigurationReport) -> SimDuration {
-        SimDuration::micros(report.sim_time_us.unwrap_or(0))
     }
 }
 

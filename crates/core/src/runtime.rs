@@ -550,10 +550,7 @@ impl Transport for ActorTransport<'_, '_> {
     }
 
     fn set_timer(&mut self, delay_us: u64, tag: u64) {
-        // The returned TimerId is dropped on purpose: the harness never
-        // cancels timers, it lets stale ones fire and ignores them.
-        let _ = self
-            .0
+        self.0
             .set_timer(std::time::Duration::from_micros(delay_us), tag);
     }
 

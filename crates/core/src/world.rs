@@ -49,9 +49,9 @@
 //! so a hazard logged after the fill would have cleared the entry, and
 //! one logged before was checked (or flushed by a rebuild) at the fill.
 //! Verdicts that rest on state a later epoch does not reproduce — the
-//! pendant mover, separating-pair reasoning, the BFS fallback — are not
-//! memoised.  Debug builds recompute every hit through the planner's own
-//! oracle and assert the verdict.
+//! pendant mover and the BFS fallback — are not memoised.  Debug builds
+//! recompute every hit through the planner's own oracle and assert the
+//! verdict.
 
 use crate::messages::Distance;
 use crate::metrics::Metrics;
@@ -260,11 +260,6 @@ impl SurfaceWorld {
     /// Block hosted by a module index.
     pub fn block_of_module(&self, index: usize) -> Option<BlockId> {
         self.block_of.get(index).copied()
-    }
-
-    /// Blocks in module order.
-    pub fn module_order(&self) -> &[BlockId] {
-        &self.block_of
     }
 
     // ----- read-only geometry -------------------------------------------------
@@ -547,9 +542,7 @@ impl SurfaceWorld {
                     ProbeBasis::Forest => fresh.forest = true,
                     // Verdicts tied to oracle state a later epoch does
                     // not reproduce: recompute every time.
-                    ProbeBasis::PendantMover
-                    | ProbeBasis::SeparatingPair
-                    | ProbeBasis::Fallback => {
+                    ProbeBasis::PendantMover | ProbeBasis::Fallback => {
                         fresh.valid = false;
                     }
                 }

@@ -26,7 +26,6 @@ use crate::latency::LatencyModel;
 use crate::time::Duration;
 use rand::rngs::SmallRng;
 use rand::{Rng, RngCore, SeedableRng};
-use std::collections::HashMap; // sb-allow: nondet-iteration — keyed access only (see NetworkState::links)
 
 /// How the transport treats each directed link between two modules.
 ///
@@ -139,17 +138,51 @@ struct LinkState {
     routed: u32,
 }
 
-/// The kernel-side state of a [`NetworkModel`]: the per-link map and the
-/// seed the link streams derive from.
+impl LinkState {
+    /// The state of the directed link `from → to` on its first message.
+    fn new(model: NetworkModel, seed: u64, from: usize, to: usize) -> Self {
+        // The fixed delay of a symmetric heterogeneous link hashes the
+        // *unordered* endpoint pair so both directions agree; every other
+        // per-link quantity hashes the directed pair.
+        let directed = link_seed(seed, from, to);
+        let (fixed, phase) = match model {
+            NetworkModel::HeterogeneousLinks {
+                min,
+                max,
+                symmetric,
+            } => {
+                let pair = if symmetric {
+                    link_seed(seed, from.min(to), from.max(to))
+                } else {
+                    directed
+                };
+                (log_uniform(&mut SmallRng::seed_from_u64(pair), min, max), 0)
+            }
+            NetworkModel::JitterBursts { period, .. } => {
+                let mut rng = SmallRng::seed_from_u64(directed);
+                (Duration::ZERO, rng.gen_range(0..period.max(1)))
+            }
+            _ => (Duration::ZERO, 0),
+        };
+        LinkState {
+            rng: SmallRng::seed_from_u64(directed),
+            fixed,
+            routed: phase,
+        }
+    }
+}
+
+/// The kernel-side state of a [`NetworkModel`]: the per-link state and
+/// the seed the link streams derive from.
 pub(crate) struct NetworkState {
     model: NetworkModel,
     seed: u64,
-    /// Per-directed-link state, looked up by key on every message send.
-    /// Never iterated: each link's RNG stream is seeded from its own
-    /// endpoints, so map order cannot reach delays, records, or wire
-    /// traffic.
-    // sb-allow: nondet-iteration — keyed-only hot-path lookup; order never escapes
-    links: HashMap<(usize, usize), LinkState>,
+    /// Per-directed-link state: row `from` holds `(to, state)` for every
+    /// link `from` has sent on, in first-use order.  A block talks to a
+    /// handful of peers, so a linear scan of its row beats hashing; each
+    /// link's RNG stream is seeded from its own endpoints, so row order
+    /// never reaches delays, records or wire traffic.
+    links: Vec<Vec<(usize, LinkState)>>,
 }
 
 impl NetworkState {
@@ -157,7 +190,7 @@ impl NetworkState {
         NetworkState {
             model,
             seed,
-            links: HashMap::new(), // sb-allow: nondet-iteration — keyed-only; see field docs
+            links: Vec::new(),
         }
     }
 
@@ -183,36 +216,18 @@ impl NetworkState {
     pub(crate) fn route(&mut self, from: usize, to: usize) -> Route {
         let model = self.model;
         let seed = self.seed;
-        let link = self.links.entry((from, to)).or_insert_with(|| {
-            // The fixed delay of a symmetric heterogeneous link hashes the
-            // *unordered* endpoint pair so both directions agree; every
-            // other per-link quantity hashes the directed pair.
-            let directed = link_seed(seed, from, to);
-            let (fixed, phase) = match model {
-                NetworkModel::HeterogeneousLinks {
-                    min,
-                    max,
-                    symmetric,
-                } => {
-                    let pair = if symmetric {
-                        link_seed(seed, from.min(to), from.max(to))
-                    } else {
-                        directed
-                    };
-                    (log_uniform(&mut SmallRng::seed_from_u64(pair), min, max), 0)
-                }
-                NetworkModel::JitterBursts { period, .. } => {
-                    let mut rng = SmallRng::seed_from_u64(directed);
-                    (Duration::ZERO, rng.gen_range(0..period.max(1)))
-                }
-                _ => (Duration::ZERO, 0),
-            };
-            LinkState {
-                rng: SmallRng::seed_from_u64(directed),
-                fixed,
-                routed: phase,
+        if self.links.len() <= from {
+            self.links.resize_with(from + 1, Vec::new);
+        }
+        let row = &mut self.links[from];
+        let slot = match row.iter().position(|&(peer, _)| peer == to) {
+            Some(slot) => slot,
+            None => {
+                row.push((to, LinkState::new(model, seed, from, to)));
+                row.len() - 1
             }
-        });
+        };
+        let link = &mut row[slot].1;
         let mut route = Route {
             delivery: None,
             duplicate: None,
